@@ -91,8 +91,11 @@ def _get_atlas(args):
                 data = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        matrices = data.get("matrices") if isinstance(data, dict) else None
+        if not isinstance(matrices, dict):
+            raise UsageError(f'{path}: expected a JSON object with a "matrices" object')
         mats = {}
-        for key, rows in data["matrices"].items():
+        for key, rows in matrices.items():
             tgt_s, src_s = key.split("<-")
             pair = (int(tgt_s), int(src_s))
             table = standard_chart(pair[1]).table

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add as _add_exps
 from typing import Iterable, Mapping
 
 
@@ -64,6 +66,7 @@ class VarTable:
 Key = tuple[tuple[int, ...], int]  # (even exponents, odd bitmask)
 
 
+@lru_cache(maxsize=None)  # at most 3^q disjoint mask pairs for q odd variables
 def _mask_sign(s: int, t: int) -> int:
     """Koszul sign for merging sorted odd blocks t_s * t_t (disjoint masks).
 
@@ -96,20 +99,21 @@ class SuperElem:
         if terms:
             for key, c in terms.items():
                 if c:
-                    self.terms[key] = Fraction(c)
+                    self.terms[key] = c if type(c) is Fraction else Fraction(c)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "SuperElem":
-        return cls(table)
+        return _adopt(table, {})
 
     @classmethod
     def const(cls, table: VarTable, c) -> "SuperElem":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if not c:
-            return cls(table)
-        return cls(table, {((0,) * len(table.even), 0): c})
+            return _adopt(table, {})
+        return _adopt(table, {((0,) * len(table.even), 0): c})
 
     @classmethod
     def one(cls, table: VarTable) -> "SuperElem":
@@ -148,7 +152,7 @@ class SuperElem:
 
     def body(self) -> "SuperElem":
         """The J-degree-0 part (no odd factors)."""
-        return SuperElem(self.table, {k: c for k, c in self.terms.items() if k[1] == 0})
+        return _adopt(self.table, {k: c for k, c in self.terms.items() if k[1] == 0})
 
     def j_degrees(self) -> set[int]:
         return {mask.bit_count() for _, mask in self.terms}
@@ -164,17 +168,21 @@ class SuperElem:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, Fraction(0)) + c
+            old = terms.get(k)
+            if old is None:
+                terms[k] = c
+                continue
+            s = old + c
             if s:
                 terms[k] = s
             else:
-                terms.pop(k, None)
-        return SuperElem(self.table, terms)
+                del terms[k]
+        return _adopt(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperElem(self.table, {k: -c for k, c in self.terms.items()})
+        return _adopt(self.table, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(self.table, other))
@@ -190,14 +198,19 @@ class SuperElem:
             for (e2, m2), c2 in other.terms.items():
                 if m1 & m2:
                     continue  # repeated odd variable squares to zero
-                sign = _mask_sign(m1, m2)
-                key = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)
-                s = terms.get(key, Fraction(0)) + sign * c1 * c2
+                key = (tuple(map(_add_exps, e1, e2)), m1 | m2)
+                c = c1 * c2
+                negate = m1 and m2 and _mask_sign(m1, m2) < 0
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = -c if negate else c
+                    continue
+                s = old - c if negate else old + c
                 if s:
                     terms[key] = s
                 else:
-                    terms.pop(key, None)
-        return SuperElem(self.table, terms)
+                    del terms[key]
+        return _adopt(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -211,10 +224,21 @@ class SuperElem:
         base = self
         if n < 0:
             base, n = invert_unit(self), -n
-        out = SuperElem.one(self.table)
-        for _ in range(n):
-            out = out * base
-        return out
+        if n == 0:
+            return SuperElem.one(self.table)
+        if len(base.terms) == 1:
+            ((exps, mask), c), = base.terms.items()
+            if mask and n > 1:
+                return SuperElem.zero(self.table)  # a repeated odd factor
+            return _adopt(self.table, {(tuple(e * n for e in exps), mask): c**n})
+        out = None
+        while True:  # binary powering: square base, multiply in the set bits of n
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, SuperElem):
@@ -225,6 +249,8 @@ class SuperElem:
         return self.table == other.table and self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():  # equal to its Fraction value, so hash like it
+            return hash(self.constant_value())
         return hash((self.table, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
@@ -232,6 +258,18 @@ class SuperElem:
 
     def __str__(self):
         return format_elem(self)
+
+
+def _adopt(table: VarTable, terms: dict[Key, Fraction]) -> SuperElem:
+    """Wrap an already-canonical dict (nonzero Fraction values) as is.
+
+    The internal constructor: no copy, no zero filter, no re-wrap.  Callers
+    hand over a fresh dict they no longer touch.
+    """
+    out = object.__new__(SuperElem)
+    out.table = table
+    out.terms = terms
+    return out
 
 
 def _coerce(table: VarTable, x) -> SuperElem:
@@ -261,13 +299,12 @@ def invert_unit(a: SuperElem) -> SuperElem:
         a^{-1} = u^{-1} * sum_j (-n u^{-1})^j,
     a finite sum because J^{q+1} = 0.
     """
-    a = a if isinstance(a, SuperElem) else a
     body = [(k, c) for k, c in a.terms.items() if k[1] == 0]
     if len(body) != 1:
         raise NotAUnit(f"body is not a single Laurent term: {format_elem(a)}")
     (exps, _), c = body[0]
-    u_inv = SuperElem(a.table, {(tuple(-e for e in exps), 0): 1 / Fraction(c)})
-    n = a - SuperElem(a.table, {(exps, 0): c})
+    u_inv = _adopt(a.table, {(tuple(-e for e in exps), 0): c**-1})
+    n = a - _adopt(a.table, {(exps, 0): c})
     out = SuperElem.one(a.table)
     m = n * u_inv
     power = SuperElem.one(a.table)
@@ -346,7 +383,10 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
 
 
 def deriv_even(a: SuperElem, name: str) -> SuperElem:
-    """d/dz for an even variable (odd factors are inert constants)."""
+    """d/dz for an even variable (odd factors are inert constants).
+
+    Distinct terms keep distinct keys, so nothing merges or cancels.
+    """
     i = a.table.even_index(name)
     terms: dict[Key, Fraction] = {}
     for (exps, mask), c in a.terms.items():
@@ -355,16 +395,16 @@ def deriv_even(a: SuperElem, name: str) -> SuperElem:
             continue
         new = list(exps)
         new[i] = e - 1
-        key = (tuple(new), mask)
-        terms[key] = terms.get(key, Fraction(0)) + c * e
-    return SuperElem(a.table, {k: c for k, c in terms.items() if c})
+        terms[(tuple(new), mask)] = c * e
+    return _adopt(a.table, terms)
 
 
 def deriv_odd_left(a: SuperElem, name: str) -> SuperElem:
     """Left derivative d/dt: strip t from the front, paying a sign per hop.
 
     For t at position p of the increasing product t_S the sign is (-1)^p, so
-    the leading factor differentiates with sign +1.
+    the leading factor differentiates with sign +1.  Distinct terms keep
+    distinct keys, so nothing merges or cancels.
     """
     i = a.table.odd_index(name)
     bit = 1 << i
@@ -372,15 +412,13 @@ def deriv_odd_left(a: SuperElem, name: str) -> SuperElem:
     for (exps, mask), c in a.terms.items():
         if not mask & bit:
             continue
-        sign = -1 if ((mask & (bit - 1)).bit_count() & 1) else 1
-        key = (exps, mask ^ bit)
-        terms[key] = terms.get(key, Fraction(0)) + sign * c
-    return SuperElem(a.table, {k: c for k, c in terms.items() if c})
+        terms[(exps, mask ^ bit)] = -c if (mask & (bit - 1)).bit_count() & 1 else c
+    return _adopt(a.table, terms)
 
 
 def truncate_J(a: SuperElem, k: int) -> SuperElem:
     """Drop every term with J-degree (number of odd factors) >= k."""
-    return SuperElem(a.table, {key: c for key, c in a.terms.items() if key[1].bit_count() < k})
+    return _adopt(a.table, {key: c for key, c in a.terms.items() if key[1].bit_count() < k})
 
 
 # -- parsing and formatting --------------------------------------------------
@@ -393,6 +431,10 @@ def truncate_J(a: SuperElem, k: int) -> SuperElem:
 # with a negative coefficient) always re-parses; parse(format(x)) == x.
 
 _TOKEN_CHARS = set("+-*/^()")
+
+# Largest |exponent| the parser accepts.  Powers of variables are cheap
+# (exponent arithmetic), but a bound constant such as 3/2 grows by digits.
+MAX_EXPONENT = 10**6
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -497,7 +539,13 @@ class _Parser:
                     self.next()
                     sign = -1
                 tok = self.expect("int")
-                exp = sign * int(tok[1])
+                digits = tok[1].lstrip("0") or "0"
+                # lengths first: int() of a long digit string is slow, or refused
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent {tok[1]} exceeds the bound {MAX_EXPONENT} at position {tok[2]}"
+                    )
+                exp = sign * int(digits)
                 try:
                     base = base ** exp
                 except NotAUnit as exc:

@@ -181,6 +181,16 @@ def test_generic_family_requires_file():
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [{"cocycle": {}}, {"matrices": ["0<-1"]}, ["matrices"]])
+def test_generic_family_without_matrices_object_is_usage_error(tmp_path, doc):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(doc))
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", str(path)])
+    assert code == 2
+    assert rep["outcome"] == "usage-error"
+    assert '"matrices" object' in rep["details"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------
@@ -199,6 +209,14 @@ def test_parse_command():
 def test_parse_command_syntax_error():
     code, rep = report_of(["parse", "z11 +", "--table", "1"])
     assert code == 1
+
+
+def test_parse_command_exponent_bound():
+    code, rep = report_of(["parse", "z10^1000000"])
+    assert (code, rep["details"]["canonical"]) == (0, "z10^1000000")
+    code, rep = report_of(["parse", "a^3000000", "--bind", "a=3/2"])
+    assert (code, rep["outcome"]) == (1, "fail")
+    assert "exceeds the bound 1000000 at position 2" in rep["details"]["error"]
 
 
 def test_selftest_small_budget():

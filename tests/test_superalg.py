@@ -23,6 +23,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
+from supergeo.superalg import MAX_EXPONENT
 
 from oracles import elem_to_naive, naive_add, naive_mul
 
@@ -345,3 +346,119 @@ def test_property_invert_unit_round_trip(c, e, noise):
     body = SuperElem(T, {(e, 0): c})
     a = body + (noise - noise.body())
     assert mul(a, invert_unit(a)) == SuperElem.one(T)
+
+
+# ---------------------------------------------------------------------------
+# hash/eq contract, the internal constructor, powers, exponent bound
+# ---------------------------------------------------------------------------
+
+
+def test_constant_hashes_like_its_fraction():
+    assert SuperElem.one(T) == 1
+    assert 1 in {SuperElem.one(T)}
+    assert SuperElem.one(T) in {1}
+    assert {Fraction(3, 2): "x"}[SuperElem.const(T, Fraction(3, 2))] == "x"
+    assert hash(SuperElem.const(T, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(SuperElem.zero(T)) == hash(Fraction(0))
+    assert 0 in {SuperElem.zero(T)}
+    assert hash(E("1 + t1*t2")) == hash(E("t1*t2 + 1"))
+
+
+def unit_from(c, e, noise):
+    """A unit: the Laurent term c*z^e plus the nilpotent part of `noise`."""
+    return SuperElem(T, {(e, 0): c}) + (noise - noise.body())
+
+
+units = st.builds(unit_from, coeffs, exps, elems)
+even_units = st.builds(unit_from, coeffs, exps, even_elems)
+
+
+def assert_canonical(x):
+    assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
+
+
+def assert_kernel_output(op, *operands):
+    """`op` yields canonical elements and leaves its operands' terms alone."""
+    before = [dict(x.terms) for x in operands]
+    out = op(*operands)
+    for x in out if isinstance(out, tuple) else (out,):
+        assert_canonical(x)
+    assert [x.terms for x in operands] == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(elems, elems, units, st.integers(-3, 6))
+def test_property_kernel_results_are_canonical(a, b, u, n):
+    assert_kernel_output(lambda x, y: (x + y, x - y, -x, x * y), a, b)
+    assert_kernel_output(lambda x: (x + 2, 1 - x, x * Fraction(1, 2), Fraction(-3) * x), a)
+    assert_kernel_output(lambda x: (x**n, invert_unit(x), a / x), u)
+    if n >= 0:
+        assert_kernel_output(lambda x: x**n, a)
+    assert_kernel_output(
+        lambda x: (deriv_even(x, "z"), deriv_even(x, "w"), deriv_odd_left(x, "t1"),
+                   deriv_odd_left(x, "t2"), x.body(), *(truncate_J(x, k) for k in range(4))),
+        a,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(elems, even_units, even_units, odd_elems, odd_elems)
+def test_property_substitute_results_are_canonical(a, z_img, w_img, t1_img, t2_img):
+    images = {"z": z_img, "w": w_img, "t1": t1_img, "t2": t2_img}
+    assert_kernel_output(lambda x, *imgs: substitute(x, images), a, *images.values())
+
+
+def repeated_product(base, n):
+    out = SuperElem.one(T)
+    for _ in range(n):
+        out = mul(out, base)
+    return out
+
+
+@pytest.mark.parametrize("text", [
+    "z + 2*w^-1 - 1/3*z*t1*t2",  # multi-term even
+    "1 + z*w + w*t1 - t2",
+    "z + t1",
+    "3/2",
+    "-2/3*z^-1*w^2",
+    "t1",
+    "t1*t2",
+    "0",
+])
+def test_pow_matches_repeated_multiplication(text):
+    base = E(text)
+    for n in range(10):
+        assert base**n == repeated_product(base, n), n
+
+
+@pytest.mark.parametrize("text", ["z + t1", "3/2", "-2/3*z^-1*w^2", "w - z*t1*t2 + 2*t2"])
+def test_negative_pow_matches_inverse_products(text):
+    base = E(text)
+    inv = invert_unit(base)
+    for n in range(1, 10):
+        assert base**-n == repeated_product(inv, n), n
+        assert mul(base**-n, base**n) == 1
+
+
+@pytest.mark.parametrize("text", ["t1", "t1*t2", "z + w", "0"])
+def test_negative_pow_of_non_unit_raises(text):
+    with pytest.raises(NotAUnit):
+        E(text) ** -1
+
+
+def test_parse_huge_power_round_trips():
+    table = VarTable(("z10", "z20"), ("t10", "t20"))  # chart 0
+    a = parse("z10^1000000", table)
+    assert a.terms == {((1000000, 0), 0): Fraction(1)}
+    assert format_elem(a) == "z10^1000000"
+    assert parse(format_elem(a), table) == a
+    assert parse("z10^-1000000*z10^1000000", table) == 1
+
+
+def test_parse_exponent_bound():
+    assert MAX_EXPONENT == 10**6
+    assert parse("l^1000000 * l^-1000000", T, {"l": Fraction(3, 2)}) == 1
+    assert parse("z^0001000000", T) == parse(f"z^{MAX_EXPONENT}", T)
+    for text in ["z^1000001", "z^-1000001", "l^3000000", "w*z^" + "9" * 5000]:
+        with pytest.raises(ParseError, match="exceeds the bound 1000000 at position"):
+            parse(text, T, {"l": Fraction(3, 2)})
