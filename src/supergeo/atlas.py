@@ -26,7 +26,7 @@ from .superalg import (
     substitute,
     truncate_J,
 )
-from .supermat import SuperMatrix, berezinian, matmul
+from .supermat import SuperMatrix, _inv_even, berezinian
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,72 @@ class Chart:
 def standard_chart(i: int) -> Chart:
     """Chart i of the 2|2 atlas: evens z1i, z2i and odds t1i, t2i."""
     return Chart(i, VarTable(even=(f"z1{i}", f"z2{i}"), odd=(f"t1{i}", f"t2{i}")))
+
+
+# -- the cover of P^2 ----------------------------------------------------------
+#
+# Chart i is X_i != 0, and its m-th even coordinate z{m}{i} (m = 1, 2) is
+# X_c/X_i with c the m-th index other than i.  Every other fact about the cover
+# (pivots, reduced transitions, the corrected coordinate, normal-form orders)
+# is derived from that rule below.
+
+CYCLIC = ((0, 1), (1, 2), (2, 0))
+
+
+def affine_indices(i: int) -> tuple[int, ...]:
+    """The indices c of chart i's even coordinates X_c/X_i, in chart order."""
+    return tuple(c for c in range(3) if c != i)
+
+
+# AFFINE[(i, name)] = c for the even coordinate name = X_c/X_i of chart i.
+AFFINE = {
+    (i, name): c
+    for i in range(3)
+    for name, c in zip(standard_chart(i).even, affine_indices(i))
+}
+_NAME = {(i, c): name for (i, name), c in AFFINE.items()}
+
+
+def pivot(pair: tuple[int, int]) -> str:
+    """X_i/X_j on chart j: the coordinate overlap (i <- j) divides by."""
+    i, j = pair
+    return _NAME[(j, i)]
+
+
+def pivot_power(pair: tuple[int, int], n: int) -> SuperElem:
+    """pivot^n over chart j, built as a single Laurent term."""
+    table = standard_chart(pair[1]).table
+    exps = [0] * len(table.even)
+    exps[table.even_index(pivot(pair))] = n
+    return SuperElem(table, {(tuple(exps), 0): Fraction(1)})
+
+
+def reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
+    """Chart i's even coordinates over chart j: X_c/X_i = (X_c/X_j)/(X_i/X_j)."""
+    i, j = pair
+    table = standard_chart(j).table
+    inv_pivot = pivot_power(pair, -1)
+    return {
+        _NAME[(i, c)]: inv_pivot if c == j else SuperElem.var(table, _NAME[(j, c)]) * inv_pivot
+        for c in affine_indices(i)
+    }
+
+
+def correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
+    """The coordinate X_k/X_i (k the third index) that carries the deformation
+    term of overlap (i <- j), and its bilinear t1j*t2j/pivot^2 over chart j."""
+    i, j = pair
+    table = standard_chart(j).table
+    t1, t2 = (SuperElem.var(table, n) for n in table.odd)
+    return _NAME[(i, 3 - i - j)], t1 * t2 * pivot_power(pair, -2)
+
+
+def normal_form_orders(pair: tuple[int, int]) -> tuple[tuple[str, str], tuple[str, str]]:
+    """Even orders of the per-overlap theorem: target (1/pivot, corrected) and
+    source (pivot, X_k/X_j)."""
+    i, j = pair
+    k = 3 - i - j
+    return (_NAME[(i, j)], _NAME[(i, k)]), (pivot(pair), _NAME[(j, k)])
 
 
 class TransitionMap:
@@ -148,9 +214,7 @@ def invert_map(f: TransitionMap) -> TransitionMap:
                 raise SuperError(f"odd assignment for {tname!r} is not linear in the odd variables")
         even_part = {n: g_assignment[n] for n in src.table.even}
         Mt = [[substitute(entry, even_part) for entry in row] for row in M]
-        from .supermat import _inv_even  # adjugate inverse over the algebra
-
-        Minv = _inv_even(Mt, tgt.table)
+        Minv = _inv_even(Mt, tgt.table)  # adjugate inverse over the algebra
         for k, sname in enumerate(src.table.odd):
             acc = SuperElem.zero(tgt.table)
             for l, tname in enumerate(tgt.table.odd):
@@ -278,9 +342,6 @@ class Atlas:
             return self.maps[(i, j)]
         except KeyError:
             raise SuperError(f"no transition map {i}<-{j} in atlas") from None
-
-    def cyclic_pairs(self) -> list[tuple[int, int]]:
-        return [(0, 1), (1, 2), (2, 0)]
 
 
 @dataclass

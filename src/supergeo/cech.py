@@ -14,8 +14,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from . import families
 from .superalg import SuperElem, SuperError, format_elem, substitute
-from .atlas import Atlas, even_remainder_derivation, invert_map, pushforward_vector_field, compose
+from .atlas import (
+    AFFINE,
+    CYCLIC,
+    Atlas,
+    compose,
+    even_remainder_derivation,
+    invert_map,
+    pivot,
+    pushforward_vector_field,
+)
 
 
 def h_line(n: int, k: int, q: int) -> int:
@@ -213,34 +223,14 @@ def class_in_top(n: int, k: int, section: SuperElem, frame_sign: int = 1) -> Coh
 
 # -- connecting maps on the 2|2 atlases ---------------------------------------
 
-# z{m}{i} represents X_c / X_i; AFFINE[(i, name)] = c.
-AFFINE = {
-    (0, "z10"): 1,
-    (0, "z20"): 2,
-    (1, "z11"): 0,
-    (1, "z21"): 2,
-    (2, "z12"): 0,
-    (2, "z22"): 1,
-}
-
-
-def _atlas_frame_signs(atlas: Atlas) -> dict[int, int]:
-    from .families import frame_signs
-
-    return frame_signs(atlas)
-
 
 def default_picard_lift(atlas: Atlas) -> dict[tuple[int, int], SuperElem]:
     """The degree-1 lift whose reductions are the O(1) cocycle X_i/X_j.
 
-    On overlap (i <- j), X_i/X_j written over chart j is a single coordinate:
-    z11 for (0<-1), z22 for (1<-2), z20 for (2<-0).
+    On overlap (i <- j), X_i/X_j written over chart j is a single coordinate,
+    the pivot: z11 for (0<-1), z22 for (1<-2), z20 for (2<-0).
     """
-    names = {(0, 1): "z11", (1, 2): "z22", (2, 0): "z20"}
-    return {
-        pair: SuperElem.var(atlas.charts[pair[1]].table, names[pair])
-        for pair in ((0, 1), (1, 2), (2, 0))
-    }
+    return {pair: SuperElem.var(atlas.charts[pair[1]].table, pivot(pair)) for pair in CYCLIC}
 
 
 def picard_delta(
@@ -259,8 +249,8 @@ def picard_delta(
     if lifts is None:
         lifts = default_picard_lift(atlas)
     if frame_signs is None:
-        frame_signs = _atlas_frame_signs(atlas)
-    for pair in ((0, 1), (1, 2), (2, 0)):
+        frame_signs = families.frame_signs(atlas)
+    for pair in CYCLIC:
         if pair not in lifts:
             raise SuperError(f"missing lift for overlap {pair[0]}<-{pair[1]}")
         lift = lifts[pair]
@@ -295,10 +285,10 @@ def obstruction_delta(atlas: Atlas, frame_signs: dict[int, int] | None = None) -
     total as f * (Euler field).  The class of f is the result.
     """
     if frame_signs is None:
-        frame_signs = _atlas_frame_signs(atlas)
+        frame_signs = families.frame_signs(atlas)
     # components[c]: homogeneous Laurent coefficients of d/dX_c
     components: list[dict[tuple[int, int, int], Fraction]] = [{}, {}, {}]
-    for pair in ((0, 1), (1, 2), (2, 0)):
+    for pair in CYCLIC:
         i, j = pair
         f = atlas.map(i, j)
         rems = even_remainder_derivation(f)

@@ -16,9 +16,11 @@ from fractions import Fraction
 from . import __version__
 from .superalg import SuperError, VarTable, format_elem, parse
 from .atlas import (
+    CYCLIC,
     atlas_from_json,
     check_cocycle_loop,
     is_calabi_yau,
+    reduced_transition,
     standard_chart,
     truncate_J,
 )
@@ -34,9 +36,7 @@ from .cech import (
     picard_delta,
 )
 from .families import (
-    CYCLIC,
     MatrixCocycle,
-    REDUCED,
     atlas_equal,
     berezinian_normal_form,
     berezinian_raw,
@@ -96,12 +96,27 @@ def _get_atlas(args):
             raise UsageError(f'{path}: expected a JSON object with a "matrices" object')
         mats = {}
         for key, rows in matrices.items():
-            tgt_s, src_s = key.split("<-")
-            pair = (int(tgt_s), int(src_s))
+            pair = _overlap_key(path, key)
+            if not (
+                isinstance(rows, list)
+                and all(isinstance(row, list) and all(isinstance(txt, str) for txt in row) for row in rows)
+            ):
+                raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
             table = standard_chart(pair[1]).table
             mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
         return build_generic(MatrixCocycle(mats), lam), lam
     raise UsageError(f"unknown family {family!r}")
+
+
+def _overlap_key(path: str, key: str) -> tuple[int, int]:
+    """The (i, j) of a matrices key "i<-j"."""
+    tgt_s, arrow, src_s = key.partition("<-")
+    if arrow:
+        try:
+            return int(tgt_s), int(src_s)
+        except ValueError:
+            pass
+    raise UsageError(f'{path}: matrices key {key!r} is not "i<-j" with integer chart indices')
 
 
 def _class_details(cls) -> dict:
@@ -137,8 +152,7 @@ def _cmd_verify_atlas(args):
     mismatches = []
     for pair in CYCLIC:
         f = atlas.map(*pair)
-        for name, text in REDUCED[pair].items():
-            want = parse(text, f.source.table)
+        for name, want in reduced_transition(pair).items():
             if truncate_J(f.assignment[name], 2) != want:
                 reduced_ok = False
                 mismatches.append(f"{_pair_str(pair)}:{name}")

@@ -3,8 +3,9 @@
 The reduced manifold is covered by the three standard affine charts; the odd
 structure is a rank-2 bundle given by a 2x2 matrix cocycle M with det matching
 the O(-3) cocycle, and the single even deformation is controlled by an exact
-rational parameter (written `l` in the assignment strings).  Everything here
-is constructed symbolically and then verified by the exact loop composition.
+rational parameter lam.  The two named families are `build_generic` applied
+to built-in cocycles derived from the cover in `atlas`.  Everything here is
+constructed symbolically and then verified by the exact loop composition.
 """
 
 from __future__ import annotations
@@ -12,97 +13,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .superalg import SuperElem, SuperError, VarTable, format_elem, parse, substitute
-from .supermat import SuperMatrix, det_even, matmul, standard_form
+from .superalg import SuperElem, SuperError, VarTable, deriv_even, deriv_odd_left, format_elem, substitute
+from .supermat import SuperMatrix, _mm, berezinian, det_even, standard_form
 from .atlas import (
+    CYCLIC,
     Atlas,
     Chart,
     TransitionMap,
-    check_cocycle_loop,
+    affine_indices,
     compose,
+    correction,
     jacobian,
+    normal_form_orders,
+    pivot,
+    pivot_power,
+    reduced_transition,
     standard_chart,
 )
-from .supermat import berezinian
-
-CYCLIC = ((0, 1), (1, 2), (2, 0))
-
-# Reduced (purely even) transitions of the three-chart plane.
-REDUCED = {
-    (0, 1): {"z10": "1/z11", "z20": "z21/z11"},
-    (1, 2): {"z11": "z12/z22", "z21": "1/z22"},
-    (2, 0): {"z12": "1/z20", "z22": "z10/z20"},
-}
-
-# Which even target coordinate receives the deformation term on each overlap,
-# and the bilinear it receives (source-chart odd frame over the pivot square).
-CORRECTION = {
-    (0, 1): ("z20", "t11*t21/z11^2"),
-    (1, 2): ("z11", "t12*t22/z22^2"),
-    (2, 0): ("z22", "t10*t20/z20^2"),
-}
-
-# The source-chart variable whose reciprocal appears in the even block ("pivot").
-PIVOT = {(0, 1): "z11", (1, 2): "z22", (2, 0): "z20"}
-
-_DECOMPOSABLE = {
-    (0, 1): {
-        "z10": "1/z11",
-        "z20": "z21/z11 + l*t11*t21/z11^2",
-        "t10": "t11/z11",
-        "t20": "t21/z11^2",
-    },
-    (1, 2): {
-        "z11": "z12/z22 + l*t12*t22/z22^2",
-        "z21": "1/z22",
-        "t11": "t12/z22",
-        "t21": "t22/z22^2",
-    },
-    (2, 0): {
-        "z12": "1/z20",
-        "z22": "z10/z20 + l*t10*t20/z20^2",
-        "t12": "t10/z20",
-        "t22": "t20/z20^2",
-    },
-}
-
-_OMEGA1 = {
-    (0, 1): {
-        "z10": "1/z11",
-        "z20": "z21/z11 + l*t11*t21/z11^2",
-        "t10": "-t11/z11^2",
-        "t20": "-z21*t11/z11^2 + t21/z11",
-    },
-    (1, 2): {
-        "z11": "z12/z22 - l*t12*t22/z22^2",
-        "z21": "1/z22",
-        "t11": "t12/z22 - z12*t22/z22^2",
-        "t21": "-t22/z22^2",
-    },
-    (2, 0): {
-        "z12": "1/z20",
-        "z22": "z10/z20 - l*t10*t20/z20^2",
-        "t12": "-t20/z20^2",
-        "t22": "t10/z20 - z10*t20/z20^2",
-    },
-}
 
 
 def _charts() -> dict[int, Chart]:
     return {i: standard_chart(i) for i in range(3)}
-
-
-def _atlas_from_strings(table_strings, lam, notes=()) -> Atlas:
-    charts = _charts()
-    lam = Fraction(lam)
-    maps = {}
-    for (i, j), assigns in table_strings.items():
-        src = charts[j]
-        assignment = {
-            name: parse(text, src.table, {"l": lam}) for name, text in assigns.items()
-        }
-        maps[(i, j)] = TransitionMap(src, charts[i], assignment)
-    return Atlas(charts.values(), maps, notes)
 
 
 def build_decomposable(lam) -> Atlas:
@@ -116,7 +47,8 @@ def build_decomposable(lam) -> Atlas:
         "odd blocks: diag(1/pivot, 1/pivot^2) with pivots z11, z22, z20",
         "(2<-0) odd denominators use the pivot z20; the z10 variant fails the loop identity",
     )
-    return _atlas_from_strings(_DECOMPOSABLE, lam, notes)
+    atlas = build_generic(decomposable_cocycle(), lam)
+    return Atlas(atlas.charts.values(), atlas.maps, notes)
 
 
 def build_omega1(lam) -> Atlas:
@@ -131,7 +63,8 @@ def build_omega1(lam) -> Atlas:
         "constant frame rebasing s = (-1, +1, -1) normalizes det M to +1/pivot^3",
         "(2<-0) first odd denominator of t22 is the pivot z20 (forced by the loop identity)",
     )
-    return _atlas_from_strings(_OMEGA1, lam, notes)
+    atlas = build_generic(cotangent_cocycle(), lam)
+    return Atlas(atlas.charts.values(), atlas.maps, notes)
 
 
 # -- matrix cocycles ----------------------------------------------------------
@@ -155,40 +88,34 @@ class MatrixCocycle:
                         raise SuperError(f"overlap {pair}: odd-parity matrix entry")
 
 
-def _cocycle_from_strings(strings) -> MatrixCocycle:
-    charts = _charts()
+def decomposable_cocycle() -> MatrixCocycle:
+    """diag(1/pivot, 1/pivot^2) on each overlap: the split odd part O(-1) + O(-2)."""
     mats = {}
-    for (i, j), rows in strings.items():
-        table = charts[j].table
-        mats[(i, j)] = [[parse(text, table) for text in row] for row in rows]
+    for pair in CYCLIC:
+        zero = SuperElem.zero(standard_chart(pair[1]).table)
+        mats[pair] = [[pivot_power(pair, -1), zero], [zero, pivot_power(pair, -2)]]
     return MatrixCocycle(mats)
 
 
-def decomposable_cocycle() -> MatrixCocycle:
-    return _cocycle_from_strings(
-        {
-            (0, 1): [["1/z11", "0"], ["0", "1/z11^2"]],
-            (1, 2): [["1/z22", "0"], ["0", "1/z22^2"]],
-            (2, 0): [["1/z20", "0"], ["0", "1/z20^2"]],
-        }
-    )
-
-
 def cotangent_cocycle() -> MatrixCocycle:
-    """How (dz1, dz2) transform between charts, read as a 0|2 bundle cocycle."""
-    return _cocycle_from_strings(
-        {
-            (0, 1): [["-1/z11^2", "0"], ["-z21/z11^2", "1/z11"]],
-            (1, 2): [["1/z22", "-z12/z22^2"], ["0", "-1/z22^2"]],
-            (2, 0): [["0", "-1/z20^2"], ["1/z20", "-z10/z20^2"]],
-        }
-    )
+    """How (dz1, dz2) transform between charts, read as a 0|2 bundle cocycle:
+    the even Jacobian of the reduced transitions."""
+    mats = {}
+    for pair in CYCLIC:
+        source = standard_chart(pair[1]).even
+        mats[pair] = [
+            [deriv_even(elem, name) for name in source] for elem in reduced_transition(pair).values()
+        ]
+    return MatrixCocycle(mats)
 
 
 def identity_cocycle() -> MatrixCocycle:
-    return _cocycle_from_strings(
-        {pair: [["1", "0"], ["0", "1"]] for pair in CYCLIC}
-    )
+    mats = {}
+    for pair in CYCLIC:
+        table = standard_chart(pair[1]).table
+        one, zero = SuperElem.one(table), SuperElem.zero(table)
+        mats[pair] = [[one, zero], [zero, one]]
+    return MatrixCocycle(mats)
 
 
 def _match_monomial(elem: SuperElem, var: str) -> tuple[int, int]:
@@ -209,23 +136,23 @@ def _match_monomial(elem: SuperElem, var: str) -> tuple[int, int]:
     return (1 if c == 1 else -1, exps[idx])
 
 
-def det_cocycle(mc: MatrixCocycle) -> int:
-    """Identify det M_{i<-j} with a line-bundle cocycle; return its twist k.
-
-    The determinant of each matrix must be sign * pivot^k for the overlap's
-    pivot variable; the exponent k must agree on all three overlaps and the
-    signs must multiply to +1 (a constant base change then removes them).
-    """
-    charts = _charts()
-    k_vals = {}
-    signs = {}
+def _det_powers(mc: MatrixCocycle) -> dict[tuple[int, int], tuple[int, int]]:
+    """(sign, k) with det M_{i<-j} = sign * pivot^k, one det per overlap."""
+    powers = {}
     for pair in CYCLIC:
-        det = det_even(mc.matrices[pair], charts[pair[1]].table)
+        det = det_even(mc.matrices[pair], standard_chart(pair[1]).table)
         try:
-            sign, k = _match_monomial(det, PIVOT[pair])
+            powers[pair] = _match_monomial(det, pivot(pair))
         except SuperError as exc:
             raise SuperError(f"overlap {pair[0]}<-{pair[1]}: det does not match any O(k) cocycle: {exc}") from exc
-        signs[pair], k_vals[pair] = sign, k
+    return powers
+
+
+def _det_twist(powers) -> int:
+    """The k shared by all three dets, whose signs must multiply to +1 (a
+    constant base change then removes them)."""
+    signs = {pair: sign for pair, (sign, _k) in powers.items()}
+    k_vals = {pair: k for pair, (_sign, k) in powers.items()}
     ks = set(k_vals.values())
     if len(ks) != 1:
         raise SuperError(f"det exponents disagree across overlaps: {k_vals}")
@@ -234,29 +161,32 @@ def det_cocycle(mc: MatrixCocycle) -> int:
     return ks.pop()
 
 
-def frame_signs_from_cocycle(mc: MatrixCocycle) -> dict[int, int]:
+def _frame_signs(powers) -> dict[int, int]:
     """Constant rebasing s with s_i/s_j = sign(det M_{i<-j}), anchored s_1 = +1.
 
     After rescaling the first odd frame of chart i by s_i, every det becomes
     +1/pivot^3; the anchor s_1 = +1 keeps the (0<-1) deformation term with a
     plus sign.
     """
-    charts = _charts()
-    eps = {}
-    for pair in CYCLIC:
-        det = det_even(mc.matrices[pair], charts[pair[1]].table)
-        sign, _k = _match_monomial(det, PIVOT[pair])
-        eps[pair] = sign
+    eps = {pair: sign for pair, (sign, _k) in powers.items()}
     s = {1: 1, 0: eps[(0, 1)], 2: eps[(1, 2)]}
     if eps[(2, 0)] != s[2] * s[0]:
         raise SuperError(f"det signs {eps} are not a coboundary")
     return s
 
 
+def det_cocycle(mc: MatrixCocycle) -> int:
+    """Identify det M_{i<-j} with a line-bundle cocycle; return its twist k.
+
+    The determinant of each matrix must be sign * pivot^k for the overlap's
+    pivot variable; the exponent k must agree on all three overlaps and the
+    signs must multiply to +1 (a constant base change then removes them).
+    """
+    return _det_twist(_det_powers(mc))
+
+
 def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
     """Extract the odd-block matrices M_{i<-j} from the stored cyclic maps."""
-    from .superalg import deriv_odd_left
-
     mats = {}
     for pair in CYCLIC:
         f = atlas.map(*pair)
@@ -268,7 +198,7 @@ def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
 
 
 def frame_signs(atlas: Atlas) -> dict[int, int]:
-    return frame_signs_from_cocycle(fermionic_cocycle(atlas))
+    return _frame_signs(_det_powers(fermionic_cocycle(atlas)))
 
 
 def build_generic(mc: MatrixCocycle, lam) -> Atlas:
@@ -281,24 +211,21 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
     solved from the det signs (s_1 = +1), added to the corrected coordinate.
     """
     lam = Fraction(lam)
-    twist = det_cocycle(mc)
+    powers = _det_powers(mc)
+    twist = _det_twist(powers)
     if twist != -3:
         raise SuperError(f"matrix cocycle has det twist {twist}, need -3")
     _check_matrix_cocycle(mc)
-    s = frame_signs_from_cocycle(mc)
+    s = _frame_signs(powers)
 
     charts = _charts()
     maps = {}
     for pair in CYCLIC:
         i, j = pair
         src, tgt = charts[j], charts[i]
-        assignment = {
-            name: parse(text, src.table) for name, text in REDUCED[pair].items()
-        }
-        corrected, bilinear = CORRECTION[pair]
-        assignment[corrected] = assignment[corrected] + parse(
-            bilinear, src.table
-        ) * (lam * s[j])
+        assignment = reduced_transition(pair)
+        corrected, bilinear = correction(pair)
+        assignment[corrected] = assignment[corrected] + bilinear * (lam * s[j])
         t1s, t2s = (SuperElem.var(src.table, n) for n in src.table.odd)
         M = mc.matrices[pair]
         assignment[tgt.table.odd[0]] = M[0][0] * t1s + M[0][1] * t2s
@@ -310,16 +237,12 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 
 def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
     """M_{0<-1} M_{1<-2} M_{2<-0} == identity, composed through the reduced maps."""
-    charts = _charts()
-    red = {
-        pair: {name: parse(text, charts[pair[1]].table) for name, text in REDUCED[pair].items()}
-        for pair in CYCLIC
-    }
-    m01 = [[substitute(e, red[(1, 2)]) for e in row] for row in mc.matrices[(0, 1)]]
-    prod = _mm2(m01, mc.matrices[(1, 2)])
-    prod = [[substitute(e, red[(2, 0)]) for e in row] for row in prod]
-    prod = _mm2(prod, mc.matrices[(2, 0)])
-    table = charts[0].table
+    red12, red20 = reduced_transition((1, 2)), reduced_transition((2, 0))
+    table = standard_chart(0).table
+    m01 = [[substitute(e, red12) for e in row] for row in mc.matrices[(0, 1)]]
+    prod = _mm(m01, mc.matrices[(1, 2)], standard_chart(2).table)
+    prod = [[substitute(e, red20) for e in row] for row in prod]
+    prod = _mm(prod, mc.matrices[(2, 0)], table)
     ident = [[SuperElem.one(table), SuperElem.zero(table)], [SuperElem.zero(table), SuperElem.one(table)]]
     if prod != ident:
         bad = [
@@ -329,13 +252,6 @@ def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
             if prod[a][b] != ident[a][b]
         ]
         raise SuperError("matrix cocycle violates M01*M12*M20 = 1: " + "; ".join(bad))
-
-
-def _mm2(x, y):
-    return [
-        [x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)]
-        for i in range(2)
-    ]
 
 
 # -- the Pi-projective plane via big cells ------------------------------------
@@ -352,7 +268,7 @@ def big_cell(i: int) -> SuperMatrix:
     one, zero = SuperElem.one(t), SuperElem.zero(t)
     z1, z2 = (SuperElem.var(t, n) for n in t.even)
     t1, t2 = (SuperElem.var(t, n) for n in t.odd)
-    others = [j for j in range(3) if j != i]
+    others = affine_indices(i)
     even_row = [zero, zero, zero]
     odd_row = [zero, zero, zero]
     even_row[i] = one
@@ -379,7 +295,7 @@ def build_pi_plane() -> Atlas:
     for i, j in CYCLIC:
         cell = big_cell(j)
         reduced = standard_form(cell, i)
-        others = [c for c in range(3) if c != i]
+        others = affine_indices(i)
         tgt, src = charts[i], charts[j]
         assignment = {
             tgt.table.even[0]: reduced.A[0][others[0]],
@@ -429,15 +345,12 @@ def rescale_odd(atlas: Atlas, c) -> Atlas:
     return Atlas(atlas.charts.values(), maps, atlas.notes)
 
 
-def _odd_scaling(chart: Chart, c: Fraction, first_only: bool = False) -> TransitionMap:
+def _odd_scaling(chart: Chart, c: Fraction) -> TransitionMap:
     assignment = {}
     for name in chart.table.even:
         assignment[name] = SuperElem.var(chart.table, name)
-    odds = chart.table.odd
-    for pos, name in enumerate(odds):
-        v = SuperElem.var(chart.table, name)
-        scale = c if (pos == 0 or not first_only) else Fraction(1)
-        assignment[name] = v * scale
+    for name in chart.table.odd:
+        assignment[name] = SuperElem.var(chart.table, name) * c
     return TransitionMap(chart, chart, assignment)
 
 
@@ -457,11 +370,6 @@ def sym_restricted_rank(k: int) -> tuple[int, int]:
 
 # -- Berezinian normal form (per-overlap theorem form) -------------------------
 
-# Row/column arrangement of the theorem: the target coordinate equal to
-# 1/pivot comes first, and the source pivot comes first.
-_NF_TARGET_ORDER = {(0, 1): ("z10", "z20"), (1, 2): ("z21", "z11"), (2, 0): ("z12", "z22")}
-_NF_SOURCE_ORDER = {(0, 1): ("z11", "z21"), (1, 2): ("z22", "z12"), (2, 0): ("z20", "z10")}
-
 
 def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
     """The overlap map rewritten in the per-overlap theorem arrangement.
@@ -478,8 +386,9 @@ def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
     s = frame_signs(atlas)
     i, j = pair
     f = atlas.map(i, j)
-    tgt_ad = Chart(i, VarTable(_NF_TARGET_ORDER[pair], f.target.table.odd))
-    src_ad = Chart(j, VarTable(_NF_SOURCE_ORDER[pair], f.source.table.odd))
+    target_order, source_order = normal_form_orders(pair)
+    tgt_ad = Chart(i, VarTable(target_order, f.target.table.odd))
+    src_ad = Chart(j, VarTable(source_order, f.source.table.odd))
 
     # rebase: adapted_target <- target, applying the frame sign on theta_1i
     r_tgt = TransitionMap(

@@ -5,13 +5,14 @@ terms are plain tuples, odd variables are carried as sorted name tuples, signs
 are counted by bubble sort, determinants are expanded over permutations, and
 cohomology dimensions are obtained by brute-force monomial enumeration.  None
 of these helpers import anything from ``supergeo`` except the element type at
-the conversion boundary.
+the conversion boundary, and the parser that reads the hand-typed family
+tables at the end.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from supergeo import SuperElem
+from supergeo import SuperElem, VarTable, parse
 
 # ---------------------------------------------------------------------------
 # naive Grassmann-Laurent arithmetic on list-of-term representations
@@ -125,3 +126,67 @@ def count_hn(n, k):
     if shifted > 0:
         return 0
     return count_h0(n, -shifted)
+
+
+# ---------------------------------------------------------------------------
+# the two named families, hand-typed assignment by assignment
+# ---------------------------------------------------------------------------
+#
+# Kept as an oracle for the builders, which derive the same atlases from the
+# cover rule and a matrix cocycle.  `l` is the deformation parameter.
+
+DECOMPOSABLE = {
+    (0, 1): {
+        "z10": "1/z11",
+        "z20": "z21/z11 + l*t11*t21/z11^2",
+        "t10": "t11/z11",
+        "t20": "t21/z11^2",
+    },
+    (1, 2): {
+        "z11": "z12/z22 + l*t12*t22/z22^2",
+        "z21": "1/z22",
+        "t11": "t12/z22",
+        "t21": "t22/z22^2",
+    },
+    (2, 0): {
+        "z12": "1/z20",
+        "z22": "z10/z20 + l*t10*t20/z20^2",
+        "t12": "t10/z20",
+        "t22": "t20/z20^2",
+    },
+}
+
+OMEGA1 = {
+    (0, 1): {
+        "z10": "1/z11",
+        "z20": "z21/z11 + l*t11*t21/z11^2",
+        "t10": "-t11/z11^2",
+        "t20": "-z21*t11/z11^2 + t21/z11",
+    },
+    (1, 2): {
+        "z11": "z12/z22 - l*t12*t22/z22^2",
+        "z21": "1/z22",
+        "t11": "t12/z22 - z12*t22/z22^2",
+        "t21": "-t22/z22^2",
+    },
+    (2, 0): {
+        "z12": "1/z20",
+        "z22": "z10/z20 - l*t10*t20/z20^2",
+        "t12": "-t20/z20^2",
+        "t22": "t10/z20 - z10*t20/z20^2",
+    },
+}
+
+
+def family_assignments(strings, lam):
+    """Parse a hand-typed family at deformation lam: (i, j) -> name -> element.
+
+    Each assignment is read over the source chart's variables z1j, z2j | t1j, t2j.
+    """
+    out = {}
+    for (i, j), assigns in strings.items():
+        table = VarTable(even=(f"z1{j}", f"z2{j}"), odd=(f"t1{j}", f"t2{j}"))
+        out[(i, j)] = {
+            name: parse(text, table, {"l": Fraction(lam)}) for name, text in assigns.items()
+        }
+    return out

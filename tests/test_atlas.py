@@ -25,6 +25,15 @@ from supergeo import (
     standard_chart,
     substitute,
 )
+from supergeo.atlas import (
+    AFFINE,
+    CYCLIC,
+    affine_indices,
+    correction,
+    normal_form_orders,
+    pivot,
+    reduced_transition,
+)
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane
 from supergeo.supermat import SuperMatrix
 
@@ -34,6 +43,45 @@ def test_standard_chart_names():
     assert c.table.even == ("z11", "z21")
     assert c.table.odd == ("t11", "t21")
     assert c.index == 1
+
+
+# ---------------------------------------------------------------------------
+# cover facts derived from the rule z{m+1}{i} = X_c/X_i, frozen as typed
+# ---------------------------------------------------------------------------
+
+
+def test_cover_facts_frozen():
+    assert CYCLIC == ((0, 1), (1, 2), (2, 0))
+    assert [affine_indices(i) for i in range(3)] == [(1, 2), (0, 2), (0, 1)]
+    assert AFFINE == {
+        (0, "z10"): 1,
+        (0, "z20"): 2,
+        (1, "z11"): 0,
+        (1, "z21"): 2,
+        (2, "z12"): 0,
+        (2, "z22"): 1,
+    }
+    assert {pair: pivot(pair) for pair in CYCLIC} == {(0, 1): "z11", (1, 2): "z22", (2, 0): "z20"}
+    reduced = {
+        (0, 1): {"z10": "1/z11", "z20": "z21/z11"},
+        (1, 2): {"z11": "z12/z22", "z21": "1/z22"},
+        (2, 0): {"z12": "1/z20", "z22": "z10/z20"},
+    }
+    corrections = {
+        (0, 1): ("z20", "t11*t21/z11^2"),
+        (1, 2): ("z11", "t12*t22/z22^2"),
+        (2, 0): ("z22", "t10*t20/z20^2"),
+    }
+    nf_target = {(0, 1): ("z10", "z20"), (1, 2): ("z21", "z11"), (2, 0): ("z12", "z22")}
+    nf_source = {(0, 1): ("z11", "z21"), (1, 2): ("z22", "z12"), (2, 0): ("z20", "z10")}
+    for pair in CYCLIC:
+        table = standard_chart(pair[1]).table
+        got = reduced_transition(pair)
+        assert list(got) == list(reduced[pair])
+        assert got == {name: parse(text, table) for name, text in reduced[pair].items()}
+        name, text = corrections[pair]
+        assert correction(pair) == (name, parse(text, table))
+        assert normal_form_orders(pair) == (nf_target[pair], nf_source[pair])
 
 
 def test_transition_map_validation():

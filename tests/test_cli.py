@@ -191,6 +191,28 @@ def test_generic_family_without_matrices_object_is_usage_error(tmp_path, doc):
     assert '"matrices" object' in rep["details"]["error"]
 
 
+GOOD_ROWS = [["1/z11", "0"], ["0", "1/z11^2"]]
+
+
+@pytest.mark.parametrize(
+    "key, rows, message",
+    [
+        ("01", GOOD_ROWS, "matrices key '01' is not \"i<-j\""),
+        ("0<-x", GOOD_ROWS, "matrices key '0<-x' is not \"i<-j\""),
+        ("0<-1<-2", GOOD_ROWS, "matrices key '0<-1<-2' is not \"i<-j\""),
+        ("0<-1", 5, "matrices['0<-1'] is not a list of lists"),
+        ("0<-1", ["1/z11", "0"], "matrices['0<-1'] is not a list of lists"),
+        ("0<-1", [[1, 0], [0, 1]], "matrices['0<-1'] is not a list of lists of expression strings"),
+    ],
+    ids=["no-arrow", "non-integer-index", "two-arrows", "number", "flat-list", "number-entries"],
+)
+def test_generic_family_malformed_matrix_is_usage_error(tmp_path, key, rows, message):
+    path = write_cocycle(tmp_path, {key: rows})
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", path])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert message in rep["details"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import DECOMPOSABLE, OMEGA1, family_assignments
 from supergeo import (
     Atlas,
     MatrixCocycle,
@@ -92,6 +93,29 @@ def test_matrix_cocycle_validation():
         )
 
 
+def test_builtin_cocycles_frozen():
+    typed = {
+        decomposable_cocycle: {
+            (0, 1): [["1/z11", "0"], ["0", "1/z11^2"]],
+            (1, 2): [["1/z22", "0"], ["0", "1/z22^2"]],
+            (2, 0): [["1/z20", "0"], ["0", "1/z20^2"]],
+        },
+        cotangent_cocycle: {
+            (0, 1): [["-1/z11^2", "0"], ["-z21/z11^2", "1/z11"]],
+            (1, 2): [["1/z22", "-z12/z22^2"], ["0", "-1/z22^2"]],
+            (2, 0): [["0", "-1/z20^2"], ["1/z20", "-z10/z20^2"]],
+        },
+        identity_cocycle: {pair: [["1", "0"], ["0", "1"]] for pair in ((0, 1), (1, 2), (2, 0))},
+    }
+    tables = {j: standard_chart(j).table for j in range(3)}
+    for cocycle, mats in typed.items():
+        want = {
+            pair: [[parse(text, tables[pair[1]]) for text in row] for row in rows]
+            for pair, rows in mats.items()
+        }
+        assert cocycle().matrices == want
+
+
 def test_det_cocycle_values():
     assert det_cocycle(decomposable_cocycle()) == -3
     assert det_cocycle(cotangent_cocycle()) == -3
@@ -125,10 +149,19 @@ def test_frame_signs():
     assert frame_signs(build_omega1(Fraction(1))) == {0: -1, 1: 1, 2: -1}
 
 
-@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(2)])
+@pytest.mark.parametrize(
+    "lam",
+    [Fraction(0), Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-2), Fraction(-7, 3)],
+)
 def test_build_generic_reproduces_named_families(lam):
-    assert atlas_equal(build_generic(decomposable_cocycle(), lam), build_decomposable(lam))
-    assert atlas_equal(build_generic(cotangent_cocycle(), lam), build_omega1(lam))
+    # against the hand-typed tables, which share no code with the builders
+    for build, cocycle, strings in (
+        (build_decomposable, decomposable_cocycle, DECOMPOSABLE),
+        (build_omega1, cotangent_cocycle, OMEGA1),
+    ):
+        want = family_assignments(strings, lam)
+        for atlas in (build(lam), build_generic(cocycle(), lam)):
+            assert {pair: f.assignment for pair, f in atlas.maps.items()} == want
 
 
 def test_build_generic_loop_closes_for_swapped_cocycle():

@@ -1,0 +1,71 @@
+"""Import layering of the package: no cycles, no imports hidden in functions.
+
+Each module may import only the modules before it in LAYERS.  The package
+``__init__`` re-exports the layers and is not one of them; a module may read
+``__version__`` from it, which it sets before importing any layer.
+"""
+
+import ast
+from pathlib import Path
+
+import supergeo
+
+LAYERS = ("superalg", "supermat", "atlas", "families", "cech", "selfcheck", "cli")
+SRC = Path(supergeo.__file__).parent
+
+
+def imported_layers(node: ast.ImportFrom) -> list[str]:
+    """Layer modules named by a relative import (or an absolute supergeo one)."""
+    if node.level == 0:
+        if node.module is None or not node.module.startswith("supergeo"):
+            return []
+        parts = node.module.split(".")[1:]
+    else:
+        parts = node.module.split(".") if node.module else []
+    if parts:
+        return [parts[0]]
+    return [alias.name for alias in node.names if alias.name != "__version__"]
+
+
+def imports_of(tree: ast.AST):
+    """(line, layer, inside a function, relative) for every supergeo import in the tree."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            nested = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if isinstance(child, ast.ImportFrom):
+                for layer in imported_layers(child):
+                    found.append((child.lineno, layer, in_function, child.level > 0))
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    if alias.name.startswith("supergeo."):
+                        found.append((child.lineno, alias.name.split(".")[1], in_function, False))
+            visit(child, nested)
+
+    visit(tree, False)
+    return found
+
+
+def test_every_module_is_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_follow_the_layer_order():
+    problems = []
+    for rank, layer in enumerate(LAYERS):
+        path = SRC / f"{layer}.py"
+        for line, target, in_function, relative in imports_of(ast.parse(path.read_text())):
+            if in_function and relative:
+                problems.append(f"{layer}.py:{line}: relative import of {target} inside a function")
+            if target not in LAYERS:
+                problems.append(f"{layer}.py:{line}: imports {target}, which is not a layer")
+            elif LAYERS.index(target) >= rank:
+                problems.append(f"{layer}.py:{line}: {layer} imports {target}, which is not below it")
+    assert problems == []
+
+
+def test_checker_sees_a_function_level_import():
+    source = "def f():\n    from .families import frame_signs\n    return frame_signs\n"
+    assert imports_of(ast.parse(source)) == [(2, "families", True, True)]
