@@ -5,7 +5,9 @@ stores one algebra element per target coordinate, written over the source
 variables.  Composition is substitution, inversion is exact (monomial body
 inversion plus one Newton step, which terminates because J^3 = 0), and the
 Jacobian uses left derivatives with rows ordered by target coordinates
-(evens first) and columns by source coordinates in the same way.
+(evens first) and columns by source coordinates in the same way.  Readings on
+chart 0 go through `chart0_walk`, which substitutes the stored cyclic maps
+forward and never inverts one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .superalg import (
     deriv_even,
     deriv_odd_left,
     format_elem,
-    invert_unit,
     parse,
     substitute,
     truncate_J,
@@ -355,17 +356,32 @@ class LoopReport:
         return {k: format_elem(v) for k, v in self.residuals.items() if not v.is_zero()}
 
 
+def chart0_walk(
+    assignments: dict[tuple[int, int], dict[str, SuperElem]],
+) -> dict[int, dict[str, SuperElem]]:
+    """Every chart's coordinates over chart 0, walking the cycle forward.
+
+    `assignments[(i, j)]` holds chart i's coordinates over chart j for the
+    three CYCLIC overlaps.  Substituting forward gives chart 2 over chart 0 as
+    (2<-0), chart 1 as (1<-2)(2<-0), and chart 0 as (0<-1)(1<-2)(2<-0): the
+    loop, which is the identity exactly when the cover glues.  Data written
+    over chart k is read on chart 0 by substituting `walk[k]`; no map is
+    inverted.
+    """
+    walk: dict[int, dict[str, SuperElem]] = {}
+    for i, j in reversed(CYCLIC):
+        step = assignments[(i, j)]
+        if j in walk:  # chart j is already read over chart 0
+            step = {n: substitute(e, walk[j]) for n, e in step.items()}
+        walk[i] = dict(step)
+    return walk
+
+
 def check_cocycle_loop(atlas: Atlas) -> LoopReport:
-    """Compose (0<-1)(1<-2)(2<-0) and report per-coordinate residuals."""
-    f01 = atlas.map(0, 1)
-    f12 = atlas.map(1, 2)
-    f20 = atlas.map(2, 0)
-    loop = compose(compose(f01, f12), f20)
-    ident = identity_map(atlas.charts[0])
-    residuals = {
-        name: loop.assignment[name] - ident.assignment[name]
-        for name in atlas.charts[0].table.names
-    }
+    """Walk (0<-1)(1<-2)(2<-0) round to chart 0 and report per-coordinate residuals."""
+    loop = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})[0]
+    table = atlas.charts[0].table
+    residuals = {name: loop[name] - SuperElem.var(table, name) for name in table.names}
     return LoopReport(ok=all(v.is_zero() for v in residuals.values()), residuals=residuals)
 
 
@@ -401,45 +417,6 @@ def even_remainder_derivation(f: TransitionMap) -> dict[str, SuperElem]:
     for name in f.target.table.even:
         elem = f.assignment[name]
         out[name] = elem - truncate_J(elem, 2)
-    return out
-
-
-def pushforward_vector_field(
-    v: dict[str, SuperElem], f: TransitionMap, max_j: int | None = None
-) -> dict[str, SuperElem]:
-    """Push a derivation through f: coefficients end up over the target chart.
-
-    `v` maps source coordinate names to even coefficients over the source
-    chart.  The result maps every target coordinate name to
-    sum_m J(f)[l][m] * v[m], rewritten over the target chart through the exact
-    inverse of f.  With `max_j` the result is truncated below that J-degree
-    (the mod-J tangent computation).  The identity map returns v unchanged.
-    """
-    src = f.source
-    for name, coeff in v.items():
-        if name not in src.table.names:
-            raise SuperError(f"derivation coefficient for unknown coordinate {name!r}")
-        if coeff.table != src.table:
-            raise SuperError("derivation coefficients must live over the source chart")
-    jac = jacobian(f).grid()
-    names_src = src.table.names
-    names_tgt = f.target.table.names
-    ginv = invert_map(f)
-    out: dict[str, SuperElem] = {}
-    for l, tname in enumerate(names_tgt):
-        acc = SuperElem.zero(src.table)
-        for m, sname in enumerate(names_src):
-            coeff = v.get(sname)
-            if coeff is None or coeff.is_zero():
-                continue
-            acc = acc + jac[l][m] * coeff
-        if acc.is_zero():
-            continue
-        moved = substitute(acc, ginv.assignment)
-        if max_j is not None:
-            moved = truncate_J(moved, max_j)
-        if not moved.is_zero():
-            out[tname] = moved
     return out
 
 

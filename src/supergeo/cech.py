@@ -20,11 +20,12 @@ from .atlas import (
     AFFINE,
     CYCLIC,
     Atlas,
+    chart0_walk,
     compose,
     even_remainder_derivation,
-    invert_map,
+    identity_map,
+    jacobian,
     pivot,
-    pushforward_vector_field,
 )
 
 
@@ -233,23 +234,18 @@ def default_picard_lift(atlas: Atlas) -> dict[tuple[int, int], SuperElem]:
     return {pair: SuperElem.var(atlas.charts[pair[1]].table, pivot(pair)) for pair in CYCLIC}
 
 
-def picard_delta(
-    atlas: Atlas,
-    lifts: dict[tuple[int, int], SuperElem] | None = None,
-    frame_signs: dict[int, int] | None = None,
-) -> CohClass:
+def picard_delta(atlas: Atlas, lifts: dict[tuple[int, int], SuperElem] | None = None) -> CohClass:
     """Connecting map of the even-units exponential: lift, multiply, read off.
 
     `lifts` assigns an invertible even function over the source chart to each
-    cyclic overlap (default: the O(1) cocycle lift).  All three are rewritten
-    over chart 0 and multiplied; the product must be 1 mod J (i.e. the
-    reductions really form a cocycle), and the J-degree-2 remainder is the
-    class in H^2(O(-3)).
+    cyclic overlap (default: the O(1) cocycle lift).  All three are pulled
+    back to chart 0 along the chart-0 walk and multiplied; the product must be
+    1 mod J (i.e. the reductions really form a cocycle), and the J-degree-2
+    remainder is the class in H^2(O(-3)).
     """
     if lifts is None:
         lifts = default_picard_lift(atlas)
-    if frame_signs is None:
-        frame_signs = families.frame_signs(atlas)
+    frame_signs = families.frame_signs(atlas)
     for pair in CYCLIC:
         if pair not in lifts:
             raise SuperError(f"missing lift for overlap {pair[0]}<-{pair[1]}")
@@ -258,15 +254,15 @@ def picard_delta(
             raise SuperError(f"lift on {pair} is not even")
         if len(lift.body().terms) != 1:
             raise SuperError(f"lift on {pair} is not invertible (body not a single term)")
+    for pair in CYCLIC:
+        if lifts[pair].table != atlas.charts[pair[1]].table:
+            raise SuperError(f"lift on {pair} must be written over chart {pair[1]}")
 
-    to0_01 = invert_map(atlas.map(0, 1)).assignment  # chart-1 vars over chart 0
-    to0_12 = atlas.map(2, 0).assignment  # chart-2 vars over chart 0
-    a01 = substitute(lifts[(0, 1)], to0_01)
-    a12 = substitute(lifts[(1, 2)], to0_12)
-    a20 = lifts[(2, 0)]
-    if a20.table != atlas.charts[0].table:
-        raise SuperError("lift on (2, 0) must be written over chart 0")
-    product = a01 * a12 * a20
+    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    product = SuperElem.one(atlas.charts[0].table)
+    for i, j in CYCLIC:
+        lift = lifts[(i, j)]
+        product = product * (lift if j == 0 else substitute(lift, walk[j]))
     remainder = product - SuperElem.one(product.table)
     if not remainder.body().is_zero():
         raise SuperError(
@@ -275,7 +271,7 @@ def picard_delta(
     return class_in_top(2, -3, remainder, frame_signs[0]) if not remainder.is_zero() else CohClass(2, -3, 2)
 
 
-def obstruction_delta(atlas: Atlas, frame_signs: dict[int, int] | None = None) -> CohClass:
+def obstruction_delta(atlas: Atlas) -> CohClass:
     """Connecting map sending the even-deformation cochain to H^2(O(-3)).
 
     Reads the J-degree-2 remainders of the even assignments as a 1-cochain of
@@ -284,8 +280,7 @@ def obstruction_delta(atlas: Atlas, frame_signs: dict[int, int] | None = None) -
     t1j*t2j = s_j / X_j^3), sums over the cyclic overlaps, and factors the
     total as f * (Euler field).  The class of f is the result.
     """
-    if frame_signs is None:
-        frame_signs = families.frame_signs(atlas)
+    frame_signs = families.frame_signs(atlas)
     # components[c]: homogeneous Laurent coefficients of d/dX_c
     components: list[dict[tuple[int, int, int], Fraction]] = [{}, {}, {}]
     for pair in CYCLIC:
@@ -353,48 +348,31 @@ def _homogenize(coeff: SuperElem, j: int, frame_sign: int) -> dict[tuple[int, in
 
 
 def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
-    """Push the three deformation derivations into chart 0 and sum.
+    """Read the three deformation derivations on chart 0 and sum them.
 
     Each overlap (i <- j) contributes the derivation with the J-degree-2 even
     remainders as coefficients (over chart j) on the chart-i coordinate
-    fields.  All three are transported to chart 0 exactly; the sum of a true
-    cocycle is the zero derivation.
+    fields.  The coefficients are pulled back to chart 0 along the chart-0
+    walk; the chart-i fields are pushed through the (0 <- i) map (the
+    identity, f01 or f01 o f12), whose Jacobian entries are pulled back the
+    same way.  The sum of a true cocycle is the zero derivation.
     """
+    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
     f01 = atlas.map(0, 1)
-    f12 = atlas.map(1, 2)
-    f20 = atlas.map(2, 0)
-    chart0 = atlas.charts[0]
-
-    total: dict[str, SuperElem] = {
-        name: SuperElem.zero(chart0.table) for name in chart0.table.names
-    }
-
-    def accumulate(fields: dict[str, SuperElem]):
-        for name, val in fields.items():
-            total[name] = total[name] + val
-
-    # (0<-1): fields already on chart-0 coordinates; move coefficients to chart 0
-    to0 = invert_map(f01).assignment
-    accumulate(
-        {name: substitute(c, to0) for name, c in even_remainder_derivation(f01).items() if not c.is_zero()}
-    )
-    # (1<-2): coefficients to chart 1, then push the chart-1 derivation through f01
-    to1 = invert_map(f12).assignment
-    d12 = {
-        name: substitute(c, to1)
-        for name, c in even_remainder_derivation(f12).items()
-        if not c.is_zero()
-    }
-    if d12:
-        accumulate(pushforward_vector_field(d12, f01))
-    # (2<-0): coefficients to chart 2, then push through the (0<-2) composite
-    to2 = invert_map(f20).assignment
-    d20 = {
-        name: substitute(c, to2)
-        for name, c in even_remainder_derivation(f20).items()
-        if not c.is_zero()
-    }
-    if d20:
-        f02 = compose(f01, f12)
-        accumulate(pushforward_vector_field(d20, f02))
+    to0 = {0: identity_map(atlas.charts[0]), 1: f01, 2: compose(f01, atlas.map(1, 2))}
+    table = atlas.charts[0].table
+    total = {name: SuperElem.zero(table) for name in table.names}
+    for i, j in CYCLIC:
+        fields = {
+            name: c if j == 0 else substitute(c, walk[j])
+            for name, c in even_remainder_derivation(atlas.map(i, j)).items()
+            if not c.is_zero()
+        }
+        jac = jacobian(to0[i]).grid()
+        for m, sname in enumerate(to0[i].source.table.names):
+            if sname not in fields:
+                continue
+            for l, tname in enumerate(table.names):
+                if not jac[l][m].is_zero():
+                    total[tname] = total[tname] + substitute(jac[l][m], walk[i]) * fields[sname]
     return total

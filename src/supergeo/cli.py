@@ -17,7 +17,6 @@ from . import __version__
 from .superalg import SuperError, VarTable, format_elem, parse
 from .atlas import (
     CYCLIC,
-    atlas_from_json,
     check_cocycle_loop,
     is_calabi_yau,
     reduced_transition,
@@ -104,19 +103,24 @@ def _get_atlas(args):
                 raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
             table = standard_chart(pair[1]).table
             mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
+        for pair in CYCLIC:
+            if pair not in mats:
+                raise UsageError(f"{path}: matrices key {_pair_str(pair)!r} is missing")
         return build_generic(MatrixCocycle(mats), lam), lam
     raise UsageError(f"unknown family {family!r}")
 
 
 def _overlap_key(path: str, key: str) -> tuple[int, int]:
-    """The (i, j) of a matrices key "i<-j"."""
-    tgt_s, arrow, src_s = key.partition("<-")
-    if arrow:
-        try:
-            return int(tgt_s), int(src_s)
-        except ValueError:
-            pass
-    raise UsageError(f'{path}: matrices key {key!r} is not "i<-j" with integer chart indices')
+    """The (i, j) of a matrices key "i<-j", which must be a cyclic overlap."""
+    tgt_s, _, src_s = key.partition("<-")  # no arrow leaves src_s empty
+    try:
+        pair = int(tgt_s), int(src_s)
+    except ValueError:
+        raise UsageError(f'{path}: matrices key {key!r} is not "i<-j" with integer chart indices') from None
+    if pair not in CYCLIC or key != _pair_str(pair):  # "00<-1" would overwrite "0<-1"
+        overlaps = ", ".join(repr(_pair_str(p)) for p in CYCLIC)
+        raise UsageError(f"{path}: matrices key {key!r} is not one of the overlaps {overlaps}")
+    return pair
 
 
 def _class_details(cls) -> dict:

@@ -21,6 +21,7 @@ from .atlas import (
     Chart,
     TransitionMap,
     affine_indices,
+    chart0_walk,
     compose,
     correction,
     jacobian,
@@ -236,13 +237,14 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 
 
 def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
-    """M_{0<-1} M_{1<-2} M_{2<-0} == identity, composed through the reduced maps."""
-    red12, red20 = reduced_transition((1, 2)), reduced_transition((2, 0))
+    """M_{0<-1} M_{1<-2} M_{2<-0} == identity, read on chart 0 along the reduced walk."""
+    walk = chart0_walk({pair: reduced_transition(pair) for pair in CYCLIC})
     table = standard_chart(0).table
-    m01 = [[substitute(e, red12) for e in row] for row in mc.matrices[(0, 1)]]
-    prod = _mm(m01, mc.matrices[(1, 2)], standard_chart(2).table)
-    prod = [[substitute(e, red20) for e in row] for row in prod]
-    prod = _mm(prod, mc.matrices[(2, 0)], table)
+    m01, m12 = (
+        [[substitute(e, walk[j]) for e in row] for row in mc.matrices[(i, j)]]
+        for i, j in ((0, 1), (1, 2))
+    )
+    prod = _mm(_mm(m01, m12, table), mc.matrices[(2, 0)], table)
     ident = [[SuperElem.one(table), SuperElem.zero(table)], [SuperElem.zero(table), SuperElem.one(table)]]
     if prod != ident:
         bad = [

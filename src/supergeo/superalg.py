@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add_exps
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class SuperError(ValueError):

@@ -8,8 +8,6 @@ are units (single-term body), which is checked by invert_unit itself.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .superalg import SuperElem, SuperError, VarTable, invert_unit
 
 Grid = list  # list of rows of SuperElem

@@ -1,4 +1,4 @@
-"""Charts, transition maps, cocycle loops, Jacobians, pushforwards, JSON."""
+"""Charts, transition maps, cocycle loops, the chart-0 walk, Jacobians, JSON."""
 
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ from supergeo import (
     TransitionMap,
     atlas_from_json,
     atlas_to_json,
+    chart0_walk,
     check_cocycle_loop,
     compose,
     compose_jacobians,
@@ -21,7 +22,6 @@ from supergeo import (
     jacobian,
     matmul,
     parse,
-    pushforward_vector_field,
     standard_chart,
     substitute,
 )
@@ -34,7 +34,7 @@ from supergeo.atlas import (
     pivot,
     reduced_transition,
 )
-from supergeo.families import build_decomposable, build_omega1, build_pi_plane
+from supergeo.families import build_decomposable, build_omega1, build_pi_plane, rescale_odd
 from supergeo.supermat import SuperMatrix
 
 
@@ -269,7 +269,7 @@ def test_naive_matrix_chain_rule_fails():
 
 
 # ---------------------------------------------------------------------------
-# Berezinian flag, remainders, pushforward
+# Berezinian flag, remainders, the chart-0 walk
 # ---------------------------------------------------------------------------
 
 
@@ -293,28 +293,26 @@ def test_even_remainder_derivation():
     assert rem["z20"] == parse("2*t11*t21/z11^2", t1)
 
 
-def test_pushforward_identity():
-    c = standard_chart(0)
-    t = c.table
-    v = {"z10": parse("z10^2", t), "t10": parse("3", t)}
-    assert pushforward_vector_field(v, identity_map(c)) == v
+WALK_ATLASES = {
+    **{
+        f"{family.__name__}-{lam}": (family, lam)
+        for family in (build_decomposable, build_omega1)
+        for lam in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-7, 3))
+    },
+    "pi-plane": (lambda lam: build_pi_plane(), None),
+    "omega1-3-rescaled-2": (lambda lam: rescale_odd(build_omega1(Fraction(3)), 2), None),
+}
 
 
-def test_pushforward_affine_frame():
-    atlas = build_decomposable(Fraction(1))
-    t0, t1 = standard_chart(0).table, standard_chart(1).table
-    v = {"z11": SuperElem.one(t1)}
-    out = pushforward_vector_field(v, atlas.map(0, 1), max_j=1)
-    assert out == {"z10": parse("-z10^2", t0), "z20": parse("-z10*z20", t0)}
-
-
-def test_pushforward_rejects_bad_input():
-    atlas = build_decomposable(Fraction(1))
-    t0 = standard_chart(0).table
-    with pytest.raises(SuperError):
-        pushforward_vector_field({"bogus": SuperElem.one(t0)}, atlas.map(0, 1))
-    with pytest.raises(SuperError):
-        pushforward_vector_field({"z11": SuperElem.one(t0)}, atlas.map(0, 1))
+@pytest.mark.parametrize("name", sorted(WALK_ATLASES))
+def test_chart0_walk_matches_inverse_maps(name):
+    family, lam = WALK_ATLASES[name]
+    atlas = family(lam)
+    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    assert list(walk) == [2, 1, 0]
+    assert walk[2] == atlas.map(2, 0).assignment
+    assert walk[1] == invert_map(atlas.map(0, 1)).assignment
+    assert walk[0] == identity_map(standard_chart(0)).assignment
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ from fractions import Fraction
 import pytest
 
 from supergeo import (
+    Atlas,
     CohClass,
     SuperElem,
     SuperError,
+    TransitionMap,
     basis_top,
     bott,
+    check_cocycle_loop,
     class_in_top,
     default_picard_lift,
     euler_char,
+    format_elem,
     h1_tangent,
     h1_tangent_bott,
     h_line,
@@ -24,7 +28,7 @@ from supergeo import (
     serre_dual_params,
     standard_chart,
 )
-from supergeo.families import build_decomposable, build_omega1
+from supergeo.families import build_decomposable, build_omega1, rescale_odd
 
 from oracles import count_h0, count_hn
 
@@ -226,6 +230,18 @@ def test_picard_delta_trivial_lift():
     assert picard_delta(atlas, lifts=lifts).is_zero()
 
 
+def test_picard_delta_rejects_lift_over_the_wrong_chart():
+    atlas = build_decomposable(Fraction(1))
+    lifts = default_picard_lift(atlas)
+    lifts[(0, 1)] = parse("1/z10", T0)
+    with pytest.raises(SuperError, match=r"lift on \(0, 1\) must be written over chart 1"):
+        picard_delta(atlas, lifts=lifts)
+    lifts = default_picard_lift(atlas)
+    lifts[(2, 0)] = parse("z22", standard_chart(2).table)
+    with pytest.raises(SuperError, match=r"lift on \(2, 0\) must be written over chart 0"):
+        picard_delta(atlas, lifts=lifts)
+
+
 def test_picard_delta_rejects_non_cocycle_lift():
     atlas = build_decomposable(Fraction(1))
     lifts = default_picard_lift(atlas)
@@ -251,3 +267,33 @@ def test_omega_cocycle_sums_to_zero(family, lam):
     total = omega_cocycle_sum(family(lam))
     assert total
     assert all(v.is_zero() for v in total.values())
+
+
+def corrupted_decomposable() -> Atlas:
+    """build_decomposable(1) with the deformation sign of (0<-1) flipped."""
+    atlas = build_decomposable(Fraction(1))
+    bad = dict(atlas.map(0, 1).assignment)
+    bad["z20"] = parse("z21/z11 - t11*t21/z11^2", standard_chart(1).table)
+    maps = dict(atlas.maps)
+    maps[(0, 1)] = TransitionMap(standard_chart(1), standard_chart(0), bad)
+    return Atlas(atlas.charts.values(), maps)
+
+
+def test_connecting_maps_on_a_corrupted_atlas():
+    atlas = corrupted_decomposable()
+    assert check_cocycle_loop(atlas).nonzero() == {"z20": "-2*z10^-1*t10*t20"}
+    total = omega_cocycle_sum(atlas)
+    assert {k: format_elem(v) for k, v in total.items() if not v.is_zero()} == {"z20": "-2*z10^-1*t10*t20"}
+    assert picard_delta(atlas).to_dict() == {"X0^-1*X1^-1*X2^-1": "1"}
+
+
+@pytest.mark.parametrize("family", [build_decomposable, build_omega1])
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-3), Fraction(1, 2)])
+def test_odd_rescaling_scales_both_classes(family, c):
+    atlas = family(Fraction(3, 2))
+    scaled = rescale_odd(atlas, c)
+    assert all(v.is_zero() for v in omega_cocycle_sum(scaled).values())
+    for delta in (picard_delta, obstruction_delta):
+        base = delta(atlas).coeffs
+        assert base == {GEN: Fraction(3, 2)}
+        assert delta(scaled).coeffs == {m: v / c**2 for m, v in base.items()}

@@ -213,6 +213,30 @@ def test_generic_family_malformed_matrix_is_usage_error(tmp_path, key, rows, mes
     assert message in rep["details"]["error"]
 
 
+DECOMPOSABLE_ROWS = {
+    "0<-1": [["1/z11", "0"], ["0", "1/z11^2"]],
+    "1<-2": [["1/z22", "0"], ["0", "1/z22^2"]],
+    "2<-0": [["1/z20", "0"], ["0", "1/z20^2"]],
+}
+
+
+@pytest.mark.parametrize(
+    "key", ["0<-5", "2<--1", "1<-0", "00<-1"], ids=["out-of-range", "negative", "reversed", "padded"]
+)
+def test_generic_family_non_overlap_key_is_usage_error(tmp_path, key):
+    path = write_cocycle(tmp_path, {**DECOMPOSABLE_ROWS, key: [["1", "0"], ["0", "1"]]})
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", path])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert f"matrices key {key!r} is not one of the overlaps '0<-1', '1<-2', '2<-0'" in rep["details"]["error"]
+
+
+def test_generic_family_missing_overlap_is_usage_error(tmp_path):
+    rows = {key: val for key, val in DECOMPOSABLE_ROWS.items() if key != "1<-2"}
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", write_cocycle(tmp_path, rows)])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert "matrices key '1<-2' is missing" in rep["details"]["error"]
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------

@@ -69,3 +69,30 @@ def test_imports_follow_the_layer_order():
 def test_checker_sees_a_function_level_import():
     source = "def f():\n    from .families import frame_signs\n    return frame_signs\n"
     assert imports_of(ast.parse(source)) == [(2, "families", True, True)]
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_every_import_is_used():
+    problems = []
+    for layer in LAYERS:
+        path = SRC / f"{layer}.py"
+        problems += [f"{layer}.py:{item}" for item in unused_imports(ast.parse(path.read_text()))]
+    assert problems == []
+
+
+def test_checker_sees_an_unused_import():
+    source = "from __future__ import annotations\nimport os, json\nfrom .atlas import CYCLIC as C\nprint(json, C)\n"
+    assert unused_imports(ast.parse(source)) == ["2: os"]
