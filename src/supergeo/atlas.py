@@ -58,6 +58,9 @@ def standard_chart(i: int) -> Chart:
 
 CYCLIC = ((0, 1), (1, 2), (2, 0))
 
+# The homogeneous coordinates X0, X1, X2 of P^2, as Laurent variables.
+HOM = VarTable(even=("X0", "X1", "X2"), odd=())
+
 
 def affine_indices(i: int) -> tuple[int, ...]:
     """The indices c of chart i's even coordinates X_c/X_i, in chart order."""

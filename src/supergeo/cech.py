@@ -19,7 +19,9 @@ from .superalg import SuperElem, SuperError, format_elem, substitute
 from .atlas import (
     AFFINE,
     CYCLIC,
+    HOM,
     Atlas,
+    affine_indices,
     chart0_walk,
     compose,
     even_remainder_derivation,
@@ -181,11 +183,6 @@ class CohClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return (self.n, self.k, self.q) == (other.n, other.k, other.q) and self.coeffs == other.coeffs
-
     def to_dict(self) -> dict[str, str]:
         return {monomial_str(m): str(c) for m, c in sorted(self.coeffs.items())}
 
@@ -200,26 +197,39 @@ class CohClass:
 def class_in_top(n: int, k: int, section: SuperElem, frame_sign: int = 1) -> CohClass:
     """Represent a chart-0 J-degree-2 section as a class in H^n(O(k)).
 
-    The section must be a multiple of t10*t20 over the chart-0 table; the
-    trivialization identifies t10*t20 with frame_sign * (top frame), sending
+    The section must be a multiple of t10*t20 over the chart-0 table; it is
+    read on chart 0 with t10*t20 = frame_sign * X0^k, which sends
     z10^a z20^b t10 t20 to frame_sign * X0^{k-a-b} X1^a X2^b.  Monomials that
     are not totally negative are Cech coboundaries on the triple overlap and
     are projected away.
     """
     if n != 2:
         raise ValueError("class_in_top is implemented for the 3-chart cover of P^2")
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    return _top_class(k, _homogenize(section, 0, frame_sign, k))
+
+
+def _homogenize(section: SuperElem, j: int, frame_sign: int, k: int = -3) -> SuperElem:
+    """Read a chart-j section g*t1j*t2j as the Laurent form over HOM.
+
+    With z_mj = X_c/X_j and t1j*t2j = frame_sign * X_j^k the section becomes
+    frame_sign * g(X_c/X_j) * X_j^k.  At k = -3 this is the chart-j form of
+    Sym^2 F = K_{P^2}, the frame identification both connecting maps read
+    their J-degree-2 data through.
+    """
     full_mask = (1 << len(section.table.odd)) - 1
-    for (exps, mask), c in section.terms.items():
-        if mask != full_mask:
-            raise SuperError(
-                f"section is not a pure J-degree-2 multiple of the odd frame: {format_elem(section)}"
-            )
-        a, b = exps
-        mono = (k - a - b, a, b)
-        if all(e <= -1 for e in mono):
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + c * frame_sign
-    return CohClass(n, k, 2, coeffs)
+    if any(mask != full_mask for _, mask in section.terms):
+        raise SuperError(
+            f"section is not a pure J-degree-2 multiple of the odd frame: {format_elem(section)}"
+        )
+    g = SuperElem(section.table, {(exps, 0): c for (exps, _), c in section.terms.items()})
+    x = [SuperElem.var(HOM, name) for name in HOM.even]
+    images = {name: x[c] / x[j] for name, c in zip(section.table.even, affine_indices(j))}
+    return substitute(g, images) * x[j] ** k * frame_sign
+
+
+def _top_class(k: int, form: SuperElem) -> CohClass:
+    """The class in H^2(O(k)) of a Laurent form over HOM: its totally negative part."""
+    return CohClass(2, k, 2, {exps: c for (exps, _), c in form.terms.items() if max(exps) <= -1})
 
 
 # -- connecting maps on the 2|2 atlases ---------------------------------------
@@ -268,7 +278,7 @@ def picard_delta(atlas: Atlas, lifts: dict[tuple[int, int], SuperElem] | None = 
         raise SuperError(
             f"lift reductions do not form a cocycle; product is {format_elem(product.body())} mod J"
         )
-    return class_in_top(2, -3, remainder, frame_signs[0]) if not remainder.is_zero() else CohClass(2, -3, 2)
+    return class_in_top(2, -3, remainder, frame_signs[0])
 
 
 def obstruction_delta(atlas: Atlas) -> CohClass:
@@ -281,70 +291,19 @@ def obstruction_delta(atlas: Atlas) -> CohClass:
     total as f * (Euler field).  The class of f is the result.
     """
     frame_signs = families.frame_signs(atlas)
-    # components[c]: homogeneous Laurent coefficients of d/dX_c
-    components: list[dict[tuple[int, int, int], Fraction]] = [{}, {}, {}]
-    for pair in CYCLIC:
-        i, j = pair
-        f = atlas.map(i, j)
-        rems = even_remainder_derivation(f)
-        for name, coeff in rems.items():
-            if coeff.is_zero():
-                continue
-            c = AFFINE[(i, name)]
-            for mono, val in _homogenize(coeff, j, frame_signs[j]).items():
-                shifted = list(mono)
-                shifted[i] += 1  # the X_i factor of the lift X_i d/dX_c
-                key = tuple(shifted)
-                bucket = components[c]
-                s = bucket.get(key, Fraction(0)) + val
-                if s:
-                    bucket[key] = s
-                else:
-                    bucket.pop(key, None)
-    # factor the sum as f * Euler field: components[c] == f shifted by e_c
-    f_candidates = []
-    for c in range(3):
-        cand = {}
-        for mono, val in components[c].items():
-            shifted = list(mono)
-            shifted[c] -= 1
-            cand[tuple(shifted)] = val
-        f_candidates.append(cand)
-    if not (f_candidates[0] == f_candidates[1] == f_candidates[2]):
+    x = [SuperElem.var(HOM, name) for name in HOM.even]
+    # components[c]: the homogeneous coefficient of d/dX_c
+    components = [SuperElem.zero(HOM) for _ in range(3)]
+    for i, j in CYCLIC:
+        for name, coeff in even_remainder_derivation(atlas.map(i, j)).items():
+            if not coeff.is_zero():
+                c = AFFINE[(i, name)]
+                components[c] = components[c] + x[i] * _homogenize(coeff, j, frame_signs[j])
+    # f * (Euler field) = sum_c f X_c d/dX_c: every component divided by its X_c is f
+    f0, f1, f2 = (comp / x[c] for c, comp in enumerate(components))
+    if not f0 == f1 == f2:
         raise SuperError("obstruction lift is not a multiple of the Euler field")
-    f_total = f_candidates[0]
-    coeffs = {m: v for m, v in f_total.items() if all(e <= -1 for e in m)}
-    return CohClass(2, -3, 2, coeffs)
-
-
-def _homogenize(coeff: SuperElem, j: int, frame_sign: int) -> dict[tuple[int, int, int], Fraction]:
-    """Chart-j J-degree-2 coefficient -> homogeneous Laurent coefficients.
-
-    A term c * z1j^a * z2j^b * t1j*t2j becomes
-    c * s_j * (X_{c1}/X_j)^a (X_{c2}/X_j)^b / X_j^3.
-    """
-    table = coeff.table
-    full_mask = (1 << len(table.odd)) - 1
-    c1 = AFFINE[(j, table.even[0])]
-    c2 = AFFINE[(j, table.even[1])]
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for (exps, mask), c in coeff.terms.items():
-        if mask != full_mask:
-            raise SuperError(
-                f"even remainder is not a pure J-degree-2 term: {format_elem(coeff)}"
-            )
-        a, b = exps
-        mono = [0, 0, 0]
-        mono[c1] += a
-        mono[c2] += b
-        mono[j] += -a - b - 3
-        key = tuple(mono)
-        s = out.get(key, Fraction(0)) + c * frame_sign
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return _top_class(-3, f0)
 
 
 def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:

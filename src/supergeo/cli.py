@@ -14,14 +14,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .superalg import SuperError, VarTable, format_elem, parse
+from .superalg import SuperError, format_elem, parse, truncate_J
 from .atlas import (
     CYCLIC,
+    HOM,
     check_cocycle_loop,
     is_calabi_yau,
     reduced_transition,
     standard_chart,
-    truncate_J,
 )
 from .cech import (
     basis_top,
@@ -243,16 +243,11 @@ def _cmd_sym_rank(args):
     return "value", {"k": args.k, "even": even, "odd": odd}
 
 
-_PARSE_TABLES = {
-    "0": lambda: standard_chart(0).table,
-    "1": lambda: standard_chart(1).table,
-    "2": lambda: standard_chart(2).table,
-    "hom": lambda: VarTable(even=("X0", "X1", "X2"), odd=()),
-}
+_PARSE_TABLES = {**{str(i): standard_chart(i).table for i in range(3)}, "hom": HOM}
 
 
 def _cmd_parse(args):
-    table = _PARSE_TABLES[args.table]()
+    table = _PARSE_TABLES[args.table]
     bindings = {}
     for item in args.bind or ():
         if "=" not in item:

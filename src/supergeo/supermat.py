@@ -234,24 +234,15 @@ def berezinian_alt(x: SuperMatrix) -> SuperElem:
     return det_even(x.A, t) * invert_unit(det_even(S, t))
 
 
-def standard_form(z: SuperMatrix, pivot) -> SuperMatrix:
-    """Left-reduce a big-cell matrix by the inverse of a chosen square minor.
+def standard_form(z: SuperMatrix, pivot: int) -> SuperMatrix:
+    """Left-reduce a 1|1-row big-cell matrix by the inverse of a square minor.
 
-    `pivot` selects columns: an int i picks even column i and odd column i;
-    a pair (even_cols, odd_cols) selects explicit tuples.  The minor they cut
+    `pivot` = i picks even column i and odd column i.  The 1|1 minor they cut
     out must be invertible; the result is inverse(minor) * z, whose selected
     columns become the identity.
     """
-    if isinstance(pivot, int):
-        even_cols, odd_cols = (pivot,), (pivot,)
-    else:
-        even_cols, odd_cols = tuple(pivot[0]), tuple(pivot[1])
-    if len(even_cols) != z.p or len(odd_cols) != z.q:
+    if z.p != 1 or z.q != 1:
         raise SuperError("pivot minor is not square against the row grading")
-    t = z.table
-    A = [[row[j] for j in even_cols] for row in z.A]
-    B = [[row[j] for j in odd_cols] for row in z.B]
-    C = [[row[j] for j in even_cols] for row in z.C]
-    D = [[row[j] for j in odd_cols] for row in z.D]
-    minor = SuperMatrix(t, A, B, C, D, check=False)
+    A, B, C, D = ([[row[pivot]] for row in block] for block in (z.A, z.B, z.C, z.D))
+    minor = SuperMatrix(z.table, A, B, C, D, check=False)
     return matmul(inverse(minor), z)

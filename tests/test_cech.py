@@ -1,5 +1,6 @@
 """Line-bundle cohomology, Bott formulas, class extraction, connecting maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,11 @@ from supergeo import (
     picard_delta,
     serre_dual_params,
     standard_chart,
+    substitute,
 )
-from supergeo.families import build_decomposable, build_omega1, rescale_odd
+from supergeo.atlas import CYCLIC, chart0_walk
+from supergeo.cech import _homogenize
+from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs, rescale_odd
 
 from oracles import count_h0, count_hn
 
@@ -189,6 +193,13 @@ def test_class_in_top_frame_sign():
     }
 
 
+@pytest.mark.parametrize("k, mono", [(-3, (-1, -1, -1)), (-4, (-2, -1, -1)), (-5, (-3, -1, -1))])
+def test_class_in_top_other_degrees(k, mono):
+    # the last two terms read as monomials with a zero exponent: coboundaries
+    section = parse("t10*t20/(z10*z20) + t10*t20/z20 + 2*t10*t20", T0)
+    assert class_in_top(2, k, section).coeffs == {mono: Fraction(1)}
+
+
 def test_class_in_top_rejects_wrong_degree():
     with pytest.raises(SuperError):
         class_in_top(2, -3, parse("t10", T0))
@@ -285,6 +296,43 @@ def test_connecting_maps_on_a_corrupted_atlas():
     total = omega_cocycle_sum(atlas)
     assert {k: format_elem(v) for k, v in total.items() if not v.is_zero()} == {"z20": "-2*z10^-1*t10*t20"}
     assert picard_delta(atlas).to_dict() == {"X0^-1*X1^-1*X2^-1": "1"}
+
+
+def test_obstruction_delta_on_a_corrupted_atlas():
+    with pytest.raises(SuperError, match="not a multiple of the Euler field"):
+        obstruction_delta(corrupted_decomposable())
+
+
+READING_ATLASES = {
+    **{
+        f"{family.__name__}-{lam}": (family, lam)
+        for family in (build_decomposable, build_omega1)
+        for lam in (Fraction(0), Fraction(3, 2))
+    },
+    "pi-plane": (lambda lam: build_pi_plane(), None),
+    "omega1-1-rescaled--3": (lambda lam: rescale_odd(build_omega1(Fraction(1)), -3), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READING_ATLASES))
+def test_top_reading_is_chart_independent(name):
+    """g*t1j*t2j read on chart j with s_j equals its pull-back read on chart 0 with s_0."""
+    family, lam = READING_ATLASES[name]
+    atlas = family(lam)
+    signs = frame_signs(atlas)
+    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    rng = random.Random(1706)
+    for j in (1, 2):
+        table = atlas.charts[j].table
+        z1, z2, t1, t2 = (SuperElem.var(table, n) for n in table.names)
+        g = SuperElem.zero(table)
+        for _ in range(4):
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+            g = g + c * z1 ** rng.randint(-3, 3) * z2 ** rng.randint(-3, 3)
+        section = g * t1 * t2
+        here = _homogenize(section, j, signs[j])
+        assert here != _homogenize(SuperElem.zero(table), j, signs[j])
+        assert here == _homogenize(substitute(section, walk[j]), 0, signs[0])
 
 
 @pytest.mark.parametrize("family", [build_decomposable, build_omega1])

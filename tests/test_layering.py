@@ -1,8 +1,9 @@
 """Import layering of the package: no cycles, no imports hidden in functions.
 
-Each module may import only the modules before it in LAYERS.  The package
-``__init__`` re-exports the layers and is not one of them; a module may read
-``__version__`` from it, which it sets before importing any layer.
+Each module may import only the modules before it in LAYERS, and only names
+that those modules define themselves.  The package ``__init__`` re-exports the
+layers and is not one of them; a module may read ``__version__`` from it,
+which it sets before importing any layer.
 """
 
 import ast
@@ -96,3 +97,44 @@ def test_every_import_is_used():
 def test_checker_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os, json\nfrom .atlas import CYCLIC as C\nprint(json, C)\n"
     assert unused_imports(ast.parse(source)) == ["2: os"]
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def reexported_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Relative `from .mod import name` where mod did not define name itself."""
+    defined = {module: defined_names(tree) for module, tree in trees.items()}
+    problems = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in defined:
+                problems += [
+                    f"{module}.py:{alias.lineno}: {alias.name} is not defined in {node.module}"
+                    for alias in node.names
+                    if alias.name not in defined[node.module]
+                ]
+    return problems
+
+
+def test_imports_name_their_definitions():
+    trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
+    assert reexported_imports(trees) == []
+
+
+def test_checker_sees_an_import_through_a_reexport():
+    trees = {
+        "low": ast.parse("X = 1\ndef f():\n    return X\n"),
+        "mid": ast.parse("from .low import f\nclass C:\n    pass\n"),
+        "top": ast.parse("from .mid import C, f\nfrom .low import X\n"),
+    }
+    assert reexported_imports(trees) == ["top.py:1: f is not defined in mid"]
