@@ -2,12 +2,11 @@
 
 A chart carries an ordered variable table; a transition map (target <- source)
 stores one algebra element per target coordinate, written over the source
-variables.  Composition is substitution, inversion is exact (monomial body
-inversion plus one Newton step, which terminates because J^3 = 0), and the
-Jacobian uses left derivatives with rows ordered by target coordinates
-(evens first) and columns by source coordinates in the same way.  Readings on
-chart 0 go through `chart0_walk`, which substitutes the stored cyclic maps
-forward and never inverts one.
+variables.  Composition is substitution, and the Jacobian uses left
+derivatives with rows ordered by target coordinates (evens first) and columns
+by source coordinates in the same way.  Readings on chart 0 go through
+`chart0_walk`, which substitutes the stored cyclic maps forward and never
+inverts one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .superalg import (
     substitute,
     truncate_J,
 )
-from .supermat import SuperMatrix, _inv_even, berezinian
+from .supermat import SuperMatrix, berezinian
 
 
 @dataclass(frozen=True)
@@ -166,114 +165,6 @@ def compose(f: TransitionMap, g: TransitionMap) -> TransitionMap:
         )
     assignment = {name: substitute(elem, g.assignment) for name, elem in f.assignment.items()}
     return TransitionMap(g.source, f.target, assignment)
-
-
-def invert_map(f: TransitionMap) -> TransitionMap:
-    """Exact two-sided inverse of a transition map.
-
-    The even bodies must form an invertible monomial coordinate change (that
-    is checked on the integer exponent matrix).  The odd part inverts as a
-    linear system over the algebra, and a single Newton correction then kills
-    the remaining even J-degree-2 error exactly since J^3 = 0.
-    """
-    src, tgt = f.source, f.target
-    ne = len(src.table.even)
-    if len(tgt.table.even) != ne or len(tgt.table.odd) != len(src.table.odd):
-        raise SuperError("invert_map needs equal gradings on both charts")
-
-    # 1. invert the monomial body map
-    exps_rows: list[list[int]] = []
-    coeffs: list[Fraction] = []
-    for name in tgt.table.even:
-        body = f.assignment[name].body()
-        if len(body.terms) != 1:
-            raise SuperError(f"body of {name!r} is not a single Laurent term")
-        (exps, _mask), c = next(iter(body.terms.items()))
-        exps_rows.append(list(exps))
-        coeffs.append(c)
-    inv_rows = _integer_inverse(exps_rows)
-
-    g_assignment: dict[str, SuperElem] = {}
-    for m, xname in enumerate(src.table.even):
-        coeff = Fraction(1)
-        exps = [0] * ne
-        for l in range(ne):
-            b = inv_rows[m][l]
-            exps[l] = b
-            coeff *= Fraction(coeffs[l]) ** -b
-        g_assignment[xname] = SuperElem(tgt.table, {(tuple(exps), 0): coeff})
-
-    # 2. odd part: theta'_l = sum_k M[l][k-] theta_k  inverts linearly
-    nq = len(src.table.odd)
-    if nq:
-        M = [
-            [deriv_odd_left(f.assignment[tname], sname) for sname in src.table.odd]
-            for tname in tgt.table.odd
-        ]
-        for l, tname in enumerate(tgt.table.odd):
-            linear = SuperElem.zero(src.table)
-            for k, sname in enumerate(src.table.odd):
-                linear = linear + M[l][k] * SuperElem.var(src.table, sname)
-            if linear != f.assignment[tname]:
-                raise SuperError(f"odd assignment for {tname!r} is not linear in the odd variables")
-        even_part = {n: g_assignment[n] for n in src.table.even}
-        Mt = [[substitute(entry, even_part) for entry in row] for row in M]
-        Minv = _inv_even(Mt, tgt.table)  # adjugate inverse over the algebra
-        for k, sname in enumerate(src.table.odd):
-            acc = SuperElem.zero(tgt.table)
-            for l, tname in enumerate(tgt.table.odd):
-                acc = acc + Minv[k][l] * SuperElem.var(tgt.table, tname)
-            g_assignment[sname] = acc
-
-    g = TransitionMap(tgt, src, g_assignment)
-
-    # 3. one Newton step on the even coordinates
-    h = compose(f, g)
-    ident = identity_map(tgt)
-    error = {
-        name: h.assignment[name] - ident.assignment[name] for name in tgt.table.names
-    }
-    if all(e.is_zero() for e in error.values()):
-        return g
-    for name in tgt.table.odd:
-        if not error[name].is_zero():
-            raise SuperError(f"odd inversion residual for {name!r}: {format_elem(error[name])}")
-    shift = {
-        name: ident.assignment[name] - error[name] for name in tgt.table.names
-    }
-    g_fixed = {name: substitute(elem, shift) for name, elem in g.assignment.items()}
-    g = TransitionMap(tgt, src, g_fixed)
-    h = compose(f, g)
-    if h != ident:
-        raise SuperError("Newton correction failed to produce an exact inverse")
-    return g
-
-
-def _integer_inverse(rows: list[list[int]]) -> list[list[int]]:
-    """Inverse of an integer matrix, required to be integral."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise SuperError("body exponent matrix is singular; not a coordinate change")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [v / scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise SuperError("body map is not invertible as a monomial change")
-            row.append(int(v))
-        out.append(row)
-    return out
 
 
 def jacobian(f: TransitionMap) -> SuperMatrix:

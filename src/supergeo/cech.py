@@ -28,6 +28,7 @@ from .atlas import (
     identity_map,
     jacobian,
     pivot,
+    standard_chart,
 )
 
 
@@ -205,6 +206,8 @@ def class_in_top(n: int, k: int, section: SuperElem, frame_sign: int = 1) -> Coh
     """
     if n != 2:
         raise ValueError("class_in_top is implemented for the 3-chart cover of P^2")
+    if section.table != standard_chart(0).table:
+        raise SuperError("class_in_top needs a section written over the chart-0 table")
     return _top_class(k, _homogenize(section, 0, frame_sign, k))
 
 

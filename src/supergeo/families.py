@@ -110,15 +110,6 @@ def cotangent_cocycle() -> MatrixCocycle:
     return MatrixCocycle(mats)
 
 
-def identity_cocycle() -> MatrixCocycle:
-    mats = {}
-    for pair in CYCLIC:
-        table = standard_chart(pair[1]).table
-        one, zero = SuperElem.one(table), SuperElem.zero(table)
-        mats[pair] = [[one, zero], [zero, one]]
-    return MatrixCocycle(mats)
-
-
 def _match_monomial(elem: SuperElem, var: str) -> tuple[int, int]:
     """Match elem == sign * var^k (sign +-1); returns (sign, k)."""
     if len(elem.terms) != 1:
@@ -150,29 +141,26 @@ def _det_powers(mc: MatrixCocycle) -> dict[tuple[int, int], tuple[int, int]]:
 
 
 def _det_twist(powers) -> int:
-    """The k shared by all three dets, whose signs must multiply to +1 (a
-    constant base change then removes them)."""
-    signs = {pair: sign for pair, (sign, _k) in powers.items()}
+    """The k shared by all three dets (`_frame_signs` checks their signs)."""
     k_vals = {pair: k for pair, (_sign, k) in powers.items()}
     ks = set(k_vals.values())
     if len(ks) != 1:
         raise SuperError(f"det exponents disagree across overlaps: {k_vals}")
-    if signs[(0, 1)] * signs[(1, 2)] * signs[(2, 0)] != 1:
-        raise SuperError(f"det signs {signs} are not a coboundary; no O(k) identification")
     return ks.pop()
 
 
 def _frame_signs(powers) -> dict[int, int]:
     """Constant rebasing s with s_i/s_j = sign(det M_{i<-j}), anchored s_1 = +1.
 
-    After rescaling the first odd frame of chart i by s_i, every det becomes
+    Such s exists exactly when the three det signs multiply to +1.  After
+    rescaling the first odd frame of chart i by s_i, every det becomes
     +1/pivot^3; the anchor s_1 = +1 keeps the (0<-1) deformation term with a
     plus sign.
     """
     eps = {pair: sign for pair, (sign, _k) in powers.items()}
     s = {1: 1, 0: eps[(0, 1)], 2: eps[(1, 2)]}
     if eps[(2, 0)] != s[2] * s[0]:
-        raise SuperError(f"det signs {eps} are not a coboundary")
+        raise SuperError(f"det signs {eps} are not a coboundary; no O(k) identification")
     return s
 
 
@@ -183,7 +171,10 @@ def det_cocycle(mc: MatrixCocycle) -> int:
     pivot variable; the exponent k must agree on all three overlaps and the
     signs must multiply to +1 (a constant base change then removes them).
     """
-    return _det_twist(_det_powers(mc))
+    powers = _det_powers(mc)
+    twist = _det_twist(powers)
+    _frame_signs(powers)
+    return twist
 
 
 def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
@@ -214,10 +205,10 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
     lam = Fraction(lam)
     powers = _det_powers(mc)
     twist = _det_twist(powers)
+    s = _frame_signs(powers)
     if twist != -3:
         raise SuperError(f"matrix cocycle has det twist {twist}, need -3")
     _check_matrix_cocycle(mc)
-    s = _frame_signs(powers)
 
     charts = _charts()
     maps = {}

@@ -283,14 +283,6 @@ def _coerce(table: VarTable, x) -> SuperElem:
 # -- free-function API ---------------------------------------------------
 
 
-def add(a: SuperElem, b: SuperElem) -> SuperElem:
-    return a + b
-
-
-def mul(a: SuperElem, b: SuperElem) -> SuperElem:
-    return a * b
-
-
 def invert_unit(a: SuperElem) -> SuperElem:
     """Exact inverse of a unit.
 

@@ -225,15 +225,6 @@ def berezinian(x: SuperMatrix) -> SuperElem:
     return det_even(S, t) * invert_unit(det_even(x.D, t))
 
 
-def berezinian_alt(x: SuperMatrix) -> SuperElem:
-    """Cross-check route: Ber X = det(A) * det(D - C A^{-1} B)^{-1}."""
-    _require_square(x)
-    t = x.table
-    Ainv = _inv_even(x.A, t)
-    S = _msub(x.D, _mm(_mm(x.C, Ainv, t), x.B, t))
-    return det_even(x.A, t) * invert_unit(det_even(S, t))
-
-
 def standard_form(z: SuperMatrix, pivot: int) -> SuperMatrix:
     """Left-reduce a 1|1-row big-cell matrix by the inverse of a square minor.
 

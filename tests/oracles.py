@@ -6,13 +6,25 @@ are counted by bubble sort, determinants are expanded over permutations, and
 cohomology dimensions are obtained by brute-force monomial enumeration.  None
 of these helpers import anything from ``supergeo`` except the element type at
 the conversion boundary, and the parser that reads the hand-typed family
-tables at the end.
+tables.
+
+The last section is different: it is former library code that no program path
+runs, moved here unchanged and kept as the tests' reference -- the free
+functions ``add``/``mul``, the second Berezinian convention ``berezinian_alt``,
+exact map inversion ``invert_map`` and the ``identity_cocycle``.  It imports
+what it needs from ``supergeo.superalg``, ``supergeo.supermat`` (including
+the private matrix helpers ``_inv_even``, ``_mm``, ``_msub`` and
+``_require_square``), ``supergeo.atlas`` and ``supergeo.families``.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from supergeo import SuperElem, VarTable, parse
+from supergeo.superalg import SuperError, deriv_odd_left, format_elem, invert_unit, substitute
+from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, det_even
+from supergeo.atlas import CYCLIC, TransitionMap, compose, identity_map, standard_chart
+from supergeo.families import MatrixCocycle
 
 # ---------------------------------------------------------------------------
 # naive Grassmann-Laurent arithmetic on list-of-term representations
@@ -190,3 +202,150 @@ def family_assignments(strings, lam):
             name: parse(text, table, {"l": Fraction(lam)}) for name, text in assigns.items()
         }
     return out
+
+
+# ---------------------------------------------------------------------------
+# former library code, kept as the tests' reference
+# ---------------------------------------------------------------------------
+#
+# Moved unchanged from the library, where no program path ran them.
+# `berezinian_alt` is the independent check on `berezinian` and `invert_map`
+# the independent check on `chart0_walk`; `identity_cocycle` is the det
+# twist 0 control.
+
+
+def add(a: SuperElem, b: SuperElem) -> SuperElem:
+    return a + b
+
+
+def mul(a: SuperElem, b: SuperElem) -> SuperElem:
+    return a * b
+
+
+
+def berezinian_alt(x: SuperMatrix) -> SuperElem:
+    """Cross-check route: Ber X = det(A) * det(D - C A^{-1} B)^{-1}."""
+    _require_square(x)
+    t = x.table
+    Ainv = _inv_even(x.A, t)
+    S = _msub(x.D, _mm(_mm(x.C, Ainv, t), x.B, t))
+    return det_even(x.A, t) * invert_unit(det_even(S, t))
+
+
+
+def invert_map(f: TransitionMap) -> TransitionMap:
+    """Exact two-sided inverse of a transition map.
+
+    The even bodies must form an invertible monomial coordinate change (that
+    is checked on the integer exponent matrix).  The odd part inverts as a
+    linear system over the algebra, and a single Newton correction then kills
+    the remaining even J-degree-2 error exactly since J^3 = 0.
+    """
+    src, tgt = f.source, f.target
+    ne = len(src.table.even)
+    if len(tgt.table.even) != ne or len(tgt.table.odd) != len(src.table.odd):
+        raise SuperError("invert_map needs equal gradings on both charts")
+
+    # 1. invert the monomial body map
+    exps_rows: list[list[int]] = []
+    coeffs: list[Fraction] = []
+    for name in tgt.table.even:
+        body = f.assignment[name].body()
+        if len(body.terms) != 1:
+            raise SuperError(f"body of {name!r} is not a single Laurent term")
+        (exps, _mask), c = next(iter(body.terms.items()))
+        exps_rows.append(list(exps))
+        coeffs.append(c)
+    inv_rows = _integer_inverse(exps_rows)
+
+    g_assignment: dict[str, SuperElem] = {}
+    for m, xname in enumerate(src.table.even):
+        coeff = Fraction(1)
+        exps = [0] * ne
+        for l in range(ne):
+            b = inv_rows[m][l]
+            exps[l] = b
+            coeff *= Fraction(coeffs[l]) ** -b
+        g_assignment[xname] = SuperElem(tgt.table, {(tuple(exps), 0): coeff})
+
+    # 2. odd part: theta'_l = sum_k M[l][k-] theta_k  inverts linearly
+    nq = len(src.table.odd)
+    if nq:
+        M = [
+            [deriv_odd_left(f.assignment[tname], sname) for sname in src.table.odd]
+            for tname in tgt.table.odd
+        ]
+        for l, tname in enumerate(tgt.table.odd):
+            linear = SuperElem.zero(src.table)
+            for k, sname in enumerate(src.table.odd):
+                linear = linear + M[l][k] * SuperElem.var(src.table, sname)
+            if linear != f.assignment[tname]:
+                raise SuperError(f"odd assignment for {tname!r} is not linear in the odd variables")
+        even_part = {n: g_assignment[n] for n in src.table.even}
+        Mt = [[substitute(entry, even_part) for entry in row] for row in M]
+        Minv = _inv_even(Mt, tgt.table)  # adjugate inverse over the algebra
+        for k, sname in enumerate(src.table.odd):
+            acc = SuperElem.zero(tgt.table)
+            for l, tname in enumerate(tgt.table.odd):
+                acc = acc + Minv[k][l] * SuperElem.var(tgt.table, tname)
+            g_assignment[sname] = acc
+
+    g = TransitionMap(tgt, src, g_assignment)
+
+    # 3. one Newton step on the even coordinates
+    h = compose(f, g)
+    ident = identity_map(tgt)
+    error = {
+        name: h.assignment[name] - ident.assignment[name] for name in tgt.table.names
+    }
+    if all(e.is_zero() for e in error.values()):
+        return g
+    for name in tgt.table.odd:
+        if not error[name].is_zero():
+            raise SuperError(f"odd inversion residual for {name!r}: {format_elem(error[name])}")
+    shift = {
+        name: ident.assignment[name] - error[name] for name in tgt.table.names
+    }
+    g_fixed = {name: substitute(elem, shift) for name, elem in g.assignment.items()}
+    g = TransitionMap(tgt, src, g_fixed)
+    h = compose(f, g)
+    if h != ident:
+        raise SuperError("Newton correction failed to produce an exact inverse")
+    return g
+
+
+def _integer_inverse(rows: list[list[int]]) -> list[list[int]]:
+    """Inverse of an integer matrix, required to be integral."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise SuperError("body exponent matrix is singular; not a coordinate change")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = aug[i][n + j]
+            if v.denominator != 1:
+                raise SuperError("body map is not invertible as a monomial change")
+            row.append(int(v))
+        out.append(row)
+    return out
+
+
+
+def identity_cocycle() -> MatrixCocycle:
+    mats = {}
+    for pair in CYCLIC:
+        table = standard_chart(pair[1]).table
+        one, zero = SuperElem.one(table), SuperElem.zero(table)
+        mats[pair] = [[one, zero], [zero, one]]
+    return MatrixCocycle(mats)

@@ -207,6 +207,12 @@ def test_class_in_top_rejects_wrong_degree():
         class_in_top(1, -2, parse("t10*t20", T0))
 
 
+def test_class_in_top_rejects_a_section_over_another_chart():
+    section = parse("t11*t21/(z11*z21)", standard_chart(1).table)
+    with pytest.raises(SuperError, match="chart-0 table"):
+        class_in_top(2, -3, section)
+
+
 # ---------------------------------------------------------------------------
 # the two connecting maps and the omega cocycle
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import DECOMPOSABLE, OMEGA1, family_assignments
+from oracles import DECOMPOSABLE, OMEGA1, family_assignments, identity_cocycle
 from supergeo import (
     Atlas,
     MatrixCocycle,
@@ -24,7 +24,6 @@ from supergeo import (
     det_cocycle,
     fermionic_cocycle,
     frame_signs,
-    identity_cocycle,
     parse,
     rescale_odd,
     standard_chart,
@@ -136,6 +135,19 @@ def test_det_cocycle_rejects_non_coboundary_signs():
                     [parse("0", T1), parse("1/z11^2", T1)]]
     with pytest.raises(SuperError):
         det_cocycle(MatrixCocycle(mats))
+
+
+def test_det_sign_rule_raises_one_message():
+    mats = decomposable_cocycle().matrices
+    mats[(0, 1)] = [[parse("-1/z11", T1), parse("0", T1)],
+                    [parse("0", T1), parse("1/z11^2", T1)]]
+    mc = MatrixCocycle(mats)
+    want = "det signs {(0, 1): -1, (1, 2): 1, (2, 0): 1} are not a coboundary; no O(k) identification"
+    with pytest.raises(SuperError) as by_det:
+        det_cocycle(mc)
+    with pytest.raises(SuperError) as by_build:
+        build_generic(mc, 1)
+    assert str(by_det.value) == str(by_build.value) == want
 
 
 def test_fermionic_cocycle_round_trip():

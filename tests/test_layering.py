@@ -3,16 +3,19 @@
 Each module may import only the modules before it in LAYERS, and only names
 that those modules define themselves.  The package ``__init__`` re-exports the
 layers and is not one of them; a module may read ``__version__`` from it,
-which it sets before importing any layer.
+which it sets before importing any layer.  A public function or class of a
+layer is one the program runs or the README documents.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import supergeo
 
 LAYERS = ("superalg", "supermat", "atlas", "families", "cech", "selfcheck", "cli")
 SRC = Path(supergeo.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def imported_layers(node: ast.ImportFrom) -> list[str]:
@@ -138,3 +141,49 @@ def test_checker_sees_an_import_through_a_reexport():
         "top": ast.parse("from .mid import C, f\nfrom .low import X\n"),
     }
     assert reexported_imports(trees) == ["top.py:1: f is not defined in mid"]
+
+
+def unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """Public top-level defs and classes that no layer uses and the README does not name.
+
+    A name is used when its own module loads it or another layer imports it by
+    `from .mod import name`; the README names it as `name` or name(.
+    """
+    imported = {
+        (node.module, alias.name)
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    problems = []
+    for module, tree in trees.items():
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in loaded or (module, name) in imported:
+                continue
+            if f"`{name}`" in readme or re.search(rf"\b{name}\(", readme):
+                continue
+            problems.append(f"{module}.{name}")
+    return problems
+
+
+def test_every_public_name_is_used_or_documented():
+    trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
+    assert unused_public_names(trees, README.read_text()) == []
+
+
+def test_checker_sees_an_unused_public_name():
+    trees = {
+        "low": ast.parse(
+            "def imported():\n    pass\ndef called():\n    pass\ndef shown():\n    pass\n"
+            "def mul():\n    pass\ndef _private():\n    pass\nclass Dead:\n    pass\n"
+            "X = called()\n"
+        ),
+        "top": ast.parse("from .low import imported\ndef main():\n    return imported()\n"),
+    }
+    readme = "Call `shown` or main(); matmul(a, b) does not name mul.\n"
+    assert unused_public_names(trees, readme) == ["low.mul", "low.Dead"]

@@ -13,19 +13,17 @@ from supergeo import (
     SuperError,
     TableMismatch,
     VarTable,
-    add,
     deriv_even,
     deriv_odd_left,
     format_elem,
     invert_unit,
-    mul,
     parse,
     substitute,
     truncate_J,
 )
 from supergeo.superalg import MAX_EXPONENT
 
-from oracles import elem_to_naive, naive_add, naive_mul
+from oracles import add, elem_to_naive, mul, naive_add, naive_mul
 
 T = VarTable(("z", "w"), ("t1", "t2"))
 

@@ -11,7 +11,6 @@ from supergeo import (
     SuperMatrix,
     VarTable,
     berezinian,
-    berezinian_alt,
     det_even,
     inverse,
     matmul,
@@ -21,7 +20,7 @@ from supergeo import (
 from supergeo.families import big_cell
 from supergeo.selfcheck import TABLE, random_supermatrix
 
-from oracles import perm_det
+from oracles import berezinian_alt, perm_det
 
 T = VarTable(("z11", "z21"), ("t11", "t21"))
 
