@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .superalg import SuperError, format_elem, parse, truncate_J
+from .superalg import MAX_INT_DIGITS, SuperError, format_elem, parse, truncate_J
 from .atlas import (
     CYCLIC,
     HOM,
@@ -37,12 +38,12 @@ from .cech import (
 from .families import (
     MatrixCocycle,
     atlas_equal,
-    berezinian_normal_form,
     berezinian_raw,
     build_decomposable,
     build_generic,
     build_omega1,
     build_pi_plane,
+    normal_form_signs,
     sym_restricted_rank,
 )
 from .selfcheck import DEFAULT_SEED, run_all
@@ -59,11 +60,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
+_TOO_LARGE = 10**MAX_INT_DIGITS  # the least integer of more than MAX_INT_DIGITS digits
+
+
 def _fraction(text: str) -> Fraction:
+    """A rational from CLI text, refusing one too large to print in a report."""
+    m = _EXPONENT.fullmatch(text)
+    if m:  # checked before Fraction() spends its time on 10**exponent
+        digits = m[1].replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS:
+            raise UsageError(f"exponent of {text!r} exceeds the bound {MAX_INT_DIGITS}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
+    if max(abs(value.numerator), value.denominator) >= _TOO_LARGE:
+        raise UsageError(f"{text!r} has more than {MAX_INT_DIGITS} digits in its numerator or denominator")
+    return value
 
 
 def _pair_str(pair) -> str:
@@ -176,12 +190,11 @@ def _cmd_berezinian(args):
     pair = tuple(args.pair)
     if pair not in CYCLIC:
         raise UsageError(f"--pair must be one of {[f'{i} {j}' for i, j in CYCLIC]}")
-    nf = berezinian_normal_form(atlas, pair)
     raw = berezinian_raw(atlas, pair)
     details = {
         "lambda": str(lam),
         "pair": _pair_str(pair),
-        "value": format_elem(nf),
+        "value": format_elem(raw * normal_form_signs(atlas)[pair]),
         "raw_value": format_elem(raw),
     }
     return "value", details
@@ -190,13 +203,12 @@ def _cmd_berezinian(args):
 def _cmd_calabi_yau(args):
     atlas, lam = _get_atlas(args)
     rep = is_calabi_yau(atlas)
+    signs = normal_form_signs(atlas)
     details = {
         "lambda": str(lam),
         "flag": rep.ok,
         "berezinians": {_pair_str(k): format_elem(v) for k, v in rep.berezinians.items()},
-        "normal_form": {
-            _pair_str(p): format_elem(berezinian_normal_form(atlas, p)) for p in CYCLIC
-        },
+        "normal_form": {_pair_str(p): format_elem(rep.berezinians[p] * signs[p]) for p in CYCLIC},
     }
     return ("pass" if rep.ok else "fail"), details
 

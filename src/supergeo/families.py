@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .superalg import SuperElem, SuperError, VarTable, deriv_even, deriv_odd_left, format_elem, substitute
+from .superalg import SuperElem, SuperError, deriv_even, deriv_odd_left, format_elem, substitute
 from .supermat import SuperMatrix, _mm, berezinian, det_even, standard_form
 from .atlas import (
     CYCLIC,
@@ -364,51 +364,28 @@ def sym_restricted_rank(k: int) -> tuple[int, int]:
 # -- Berezinian normal form (per-overlap theorem form) -------------------------
 
 
-def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
-    """The overlap map rewritten in the per-overlap theorem arrangement.
+def normal_form_signs(atlas: Atlas) -> dict[tuple[int, int], int]:
+    """The +-1 taking each cyclic overlap's raw Berezinian to its normal form.
 
-    Two explicit, recorded changes: (a) even coordinates are reordered so the
-    reciprocal target coordinate and the source pivot come first; (b) the
-    first odd frame of chart i is rescaled by the constant s_i that normalizes
-    det M to +1/pivot^3 (solved from the stored odd blocks, s_1 = +1).  The
-    result is an honest TransitionMap run through the ordinary Jacobian and
-    Berezinian pipeline.
+    The adapted frames of (i <- j) differ from the stored ones by constant
+    coordinate changes, each multiplying the Berezinian by its own: a swap of
+    the two evens (-1) on each side whose `normal_form_orders` order is not
+    chart order, and the frame signs s_i, s_j on the first odd coordinates.
     """
-    if pair not in CYCLIC:
-        raise SuperError(f"normal form defined for the cyclic overlaps, got {pair}")
     s = frame_signs(atlas)
-    i, j = pair
-    f = atlas.map(i, j)
-    target_order, source_order = normal_form_orders(pair)
-    tgt_ad = Chart(i, VarTable(target_order, f.target.table.odd))
-    src_ad = Chart(j, VarTable(source_order, f.source.table.odd))
-
-    # rebase: adapted_target <- target, applying the frame sign on theta_1i
-    r_tgt = TransitionMap(
-        f.target,
-        tgt_ad,
-        {
-            **{n: SuperElem.var(f.target.table, n) for n in tgt_ad.table.even},
-            tgt_ad.table.odd[0]: SuperElem.var(f.target.table, f.target.table.odd[0]) * s[i],
-            tgt_ad.table.odd[1]: SuperElem.var(f.target.table, f.target.table.odd[1]),
-        },
-    )
-    # unbase: source <- adapted_source, removing the sign from theta_1j
-    r_src = TransitionMap(
-        src_ad,
-        f.source,
-        {
-            **{n: SuperElem.var(src_ad.table, n) for n in f.source.table.even},
-            f.source.table.odd[0]: SuperElem.var(src_ad.table, f.source.table.odd[0]) * Fraction(1, s[j]),
-            f.source.table.odd[1]: SuperElem.var(src_ad.table, f.source.table.odd[1]),
-        },
-    )
-    return compose(compose(r_tgt, f), r_src)
+    signs = {}
+    for pair in CYCLIC:
+        flips = sum(order != standard_chart(c).even for order, c in zip(normal_form_orders(pair), pair))
+        signs[pair] = (-1) ** flips * s[pair[0]] * s[pair[1]]
+    return signs
 
 
 def berezinian_normal_form(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
-    """Berezinian of the overlap map in the theorem arrangement."""
-    return berezinian(jacobian(normal_form_map(atlas, pair)))
+    """Berezinian of the overlap map in the theorem arrangement: the raw value
+    times its `normal_form_signs` entry, written over chart j's table."""
+    if pair not in CYCLIC:
+        raise SuperError(f"normal form defined for the cyclic overlaps, got {pair}")
+    return berezinian_raw(atlas, pair) * normal_form_signs(atlas)[pair]
 
 
 def berezinian_raw(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:

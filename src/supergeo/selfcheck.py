@@ -211,9 +211,11 @@ CHECKS = {
 def run_all(seed: int = DEFAULT_SEED, total_cases: int | None = None) -> dict:
     """Run every property with a deterministic per-property RNG stream.
 
-    `total_cases` rescales the default budget proportionally (at least one
-    case per property).  Returns a JSON-ready report.
+    `total_cases` (at least 1) rescales the default budget proportionally,
+    keeping at least one case per property.  Returns a JSON-ready report.
     """
+    if total_cases is not None and total_cases < 1:
+        raise ValueError(f"the case budget must be at least 1, got {total_cases}")
     budget_total = sum(BUDGET.values())
     scale = 1.0 if total_cases is None else total_cases / budget_total
     t0 = time.monotonic()

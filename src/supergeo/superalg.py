@@ -428,6 +428,10 @@ _TOKEN_CHARS = set("+-*/^()")
 # (exponent arithmetic), but a bound constant such as 3/2 grows by digits.
 MAX_EXPONENT = 10**6
 
+# Most digits an integer literal may have: Python's default limit on
+# int-to-string conversion, beyond which the literal could not be printed.
+MAX_INT_DIGITS = 4300
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -510,6 +514,8 @@ class _Parser:
             return -self.parse_factor()
         if kind == "int":
             self.next()
+            if len(value) > MAX_INT_DIGITS:  # checked before int() refuses it
+                raise ParseError(f"integer literal exceeds {MAX_INT_DIGITS} digits at position {pos}")
             return SuperElem.const(self.table, int(value))
         if kind == "(":
             self.next()

@@ -11,9 +11,10 @@ tables.
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
 functions ``add``/``mul``, the second Berezinian convention ``berezinian_alt``,
-exact map inversion ``invert_map`` and the ``identity_cocycle``.  It imports
-what it needs from ``supergeo.superalg``, ``supergeo.supermat`` (including
-the private matrix helpers ``_inv_even``, ``_mm``, ``_msub`` and
+exact map inversion ``invert_map``, the ``identity_cocycle``, and
+``normal_form_map``, which recomposes an overlap map in the adapted frames.
+It imports what it needs from ``supergeo.superalg``, ``supergeo.supermat``
+(including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub`` and
 ``_require_square``), ``supergeo.atlas`` and ``supergeo.families``.
 """
 
@@ -23,8 +24,17 @@ from itertools import permutations
 from supergeo import SuperElem, VarTable, parse
 from supergeo.superalg import SuperError, deriv_odd_left, format_elem, invert_unit, substitute
 from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, det_even
-from supergeo.atlas import CYCLIC, TransitionMap, compose, identity_map, standard_chart
-from supergeo.families import MatrixCocycle
+from supergeo.atlas import (
+    CYCLIC,
+    Atlas,
+    Chart,
+    TransitionMap,
+    compose,
+    identity_map,
+    normal_form_orders,
+    standard_chart,
+)
+from supergeo.families import MatrixCocycle, frame_signs
 
 # ---------------------------------------------------------------------------
 # naive Grassmann-Laurent arithmetic on list-of-term representations
@@ -211,7 +221,8 @@ def family_assignments(strings, lam):
 # Moved unchanged from the library, where no program path ran them.
 # `berezinian_alt` is the independent check on `berezinian` and `invert_map`
 # the independent check on `chart0_walk`; `identity_cocycle` is the det
-# twist 0 control.
+# twist 0 control; `normal_form_map` is the independent check on
+# `normal_form_signs`.
 
 
 def add(a: SuperElem, b: SuperElem) -> SuperElem:
@@ -349,3 +360,45 @@ def identity_cocycle() -> MatrixCocycle:
         one, zero = SuperElem.one(table), SuperElem.zero(table)
         mats[pair] = [[one, zero], [zero, one]]
     return MatrixCocycle(mats)
+
+
+def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
+    """The overlap map rewritten in the per-overlap theorem arrangement.
+
+    Two explicit, recorded changes: (a) even coordinates are reordered so the
+    reciprocal target coordinate and the source pivot come first; (b) the
+    first odd frame of chart i is rescaled by the constant s_i that normalizes
+    det M to +1/pivot^3 (solved from the stored odd blocks, s_1 = +1).  The
+    result is an honest TransitionMap run through the ordinary Jacobian and
+    Berezinian pipeline.
+    """
+    if pair not in CYCLIC:
+        raise SuperError(f"normal form defined for the cyclic overlaps, got {pair}")
+    s = frame_signs(atlas)
+    i, j = pair
+    f = atlas.map(i, j)
+    target_order, source_order = normal_form_orders(pair)
+    tgt_ad = Chart(i, VarTable(target_order, f.target.table.odd))
+    src_ad = Chart(j, VarTable(source_order, f.source.table.odd))
+
+    # rebase: adapted_target <- target, applying the frame sign on theta_1i
+    r_tgt = TransitionMap(
+        f.target,
+        tgt_ad,
+        {
+            **{n: SuperElem.var(f.target.table, n) for n in tgt_ad.table.even},
+            tgt_ad.table.odd[0]: SuperElem.var(f.target.table, f.target.table.odd[0]) * s[i],
+            tgt_ad.table.odd[1]: SuperElem.var(f.target.table, f.target.table.odd[1]),
+        },
+    )
+    # unbase: source <- adapted_source, removing the sign from theta_1j
+    r_src = TransitionMap(
+        src_ad,
+        f.source,
+        {
+            **{n: SuperElem.var(src_ad.table, n) for n in f.source.table.even},
+            f.source.table.odd[0]: SuperElem.var(src_ad.table, f.source.table.odd[0]) * Fraction(1, s[j]),
+            f.source.table.odd[1]: SuperElem.var(src_ad.table, f.source.table.odd[1]),
+        },
+    )
+    return compose(compose(r_tgt, f), r_src)

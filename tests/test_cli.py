@@ -130,6 +130,22 @@ def test_bad_lambda_is_usage_error():
     assert code == 2
 
 
+def test_lambda_exponent_bound_is_usage_error():
+    # refused before Fraction() builds 10**exponent, which would take seconds
+    for text in ("1e10000000", "1e1000000", "-2.5E-99999999999999999999", "1e4_301"):
+        code, rep = report_of(["verify-atlas", "--family", "omega1", f"--lambda={text}"])
+        assert (code, rep["outcome"]) == (2, "usage-error")
+        assert rep["details"]["error"] == f"exponent of {text!r} exceeds the bound 4300"
+    # within the exponent bound, but the number itself has too many digits to print
+    code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e-4300"])
+    assert code == 2
+    assert "more than 4300 digits" in rep["details"]["error"]
+    code, rep = report_of(["parse", "l", "--bind", "l=1e10000000"])
+    assert (code, rep["details"]["error"]) == (2, "exponent of '1e10000000' exceeds the bound 4300")
+    code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e2"])
+    assert (code, rep["details"]["lambda"]) == (0, "100")
+
+
 def test_pi_plane_needs_lambda_one():
     code, rep = report_of(["verify-atlas", "--family", "pi-plane", "--lambda", "2"])
     assert code == 2
@@ -263,6 +279,21 @@ def test_parse_command_exponent_bound():
     code, rep = report_of(["parse", "a^3000000", "--bind", "a=3/2"])
     assert (code, rep["outcome"]) == (1, "fail")
     assert "exceeds the bound 1000000 at position 2" in rep["details"]["error"]
+
+
+def test_parse_command_integer_literal_bound():
+    code, rep = report_of(["parse", "z10 + " + "7" * 5000])
+    assert (code, rep["outcome"]) == (1, "fail")
+    assert rep["details"]["error"] == "integer literal exceeds 4300 digits at position 6"
+    code, rep = report_of(["parse", "7" * 4300])
+    assert (code, rep["details"]["canonical"]) == (0, "7" * 4300)
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_selftest_budget_below_one_is_usage_error(cases):
+    code, rep = report_of(["selftest", "--cases", cases])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == f"the case budget must be at least 1, got {cases}"
 
 
 def test_selftest_small_budget():

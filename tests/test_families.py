@@ -1,16 +1,22 @@
 """The 2|2 atlases over P^2: builders, matrix cocycles, normal forms, rescaling."""
 
+import ast
+import re
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from oracles import DECOMPOSABLE, OMEGA1, family_assignments, identity_cocycle
+from oracles import DECOMPOSABLE, OMEGA1, family_assignments, identity_cocycle, normal_form_map
 from supergeo import (
     Atlas,
     MatrixCocycle,
+    SuperElem,
     SuperError,
     TransitionMap,
     atlas_equal,
+    berezinian,
     berezinian_normal_form,
     berezinian_raw,
     big_cell,
@@ -24,11 +30,15 @@ from supergeo import (
     det_cocycle,
     fermionic_cocycle,
     frame_signs,
+    jacobian,
+    normal_form_signs,
     parse,
     rescale_odd,
     standard_chart,
+    substitute,
     sym_restricted_rank,
 )
+from test_acceptance import _split_minus_one_twice_atlas
 
 T0 = standard_chart(0).table
 T1 = standard_chart(1).table
@@ -323,6 +333,34 @@ def test_berezinian_normal_form_spot(pair):
     assert berezinian_normal_form(atlas, pair).constant_value() == -1
 
 
+NF_LAMBDAS = (Fraction(0), Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-7, 3))
+NF_ATLASES = {
+    **{f"{b.__name__}({lam})": partial(b, lam) for b in (build_decomposable, build_omega1) for lam in NF_LAMBDAS},
+    "build_pi_plane()": build_pi_plane,
+    "rescale_odd(build_omega1(3), 2)": lambda: rescale_odd(build_omega1(Fraction(3)), 2),
+    "split O(-1)+O(-1)": _split_minus_one_twice_atlas,  # non-constant Berezinians
+}
+
+
+@pytest.mark.parametrize("name", NF_ATLASES)
+def test_normal_form_signs_match_the_recomposed_map(name):
+    # the raw value times the sign table equals the Berezinian of the map
+    # recomposed in the adapted frames, read back onto chart j's own table
+    atlas = NF_ATLASES[name]()
+    s = frame_signs(atlas)
+    for pair in ((0, 1), (1, 2), (2, 0)):
+        table = standard_chart(pair[1]).table
+        back = {n: SuperElem.var(table, n) for n in table.names}
+        back[table.odd[0]] = back[table.odd[0]] * s[pair[1]]  # undo the source rebasing
+        want = substitute(berezinian(jacobian(normal_form_map(atlas, pair))), back)
+        assert berezinian_normal_form(atlas, pair) == want, pair
+
+
+def test_normal_form_signs_of_the_named_families():
+    assert normal_form_signs(build_decomposable(Fraction(1))) == {(0, 1): 1, (1, 2): 1, (2, 0): -1}
+    assert normal_form_signs(build_omega1(Fraction(1))) == {(0, 1): -1, (1, 2): -1, (2, 0): -1}
+
+
 def test_berezinian_normal_form_rejects_unknown_pair():
     with pytest.raises(SuperError):
         berezinian_normal_form(build_decomposable(Fraction(1)), (1, 0))
@@ -362,3 +400,28 @@ def test_sym_restricted_rank():
         sym_restricted_rank(0)
     with pytest.raises(SuperError):
         sym_restricted_rank(-2)
+
+
+# ---------------------------------------------------------------------------
+# the README quick tour
+# ---------------------------------------------------------------------------
+
+
+def test_readme_quick_tour():
+    # run the block and check each expression line against the literal that
+    # leads its comment, e.g. "-1 in the adapted frames"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        comment = lines[stmt.lineno - 1].split("#", 1)[1].strip()
+        want = ast.literal_eval(re.match(r"True|False|-?\d+|\{.*\}", comment)[0])
+        assert eval(code, namespace) == want, (code, comment)
+        checked += 1
+    assert checked == 5

@@ -21,7 +21,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
-from supergeo.superalg import MAX_EXPONENT
+from supergeo.superalg import MAX_EXPONENT, MAX_INT_DIGITS
 
 from oracles import add, elem_to_naive, mul, naive_add, naive_mul
 
@@ -460,3 +460,11 @@ def test_parse_exponent_bound():
     for text in ["z^1000001", "z^-1000001", "l^3000000", "w*z^" + "9" * 5000]:
         with pytest.raises(ParseError, match="exceeds the bound 1000000 at position"):
             parse(text, T, {"l": Fraction(3, 2)})
+
+
+def test_parse_integer_literal_bound():
+    assert MAX_INT_DIGITS == 4300
+    assert parse("9" * 4300, T) == int("9" * 4300)
+    for text, pos in (("1" * 4301, 0), ("z + 2*" + "3" * 5000, 6), ("0" * 4300 + "1", 0)):
+        with pytest.raises(ParseError, match=f"^integer literal exceeds 4300 digits at position {pos}$"):
+            parse(text, T)
