@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 
 from . import __version__
-from .superalg import MAX_INT_DIGITS, SuperError, format_elem, parse, truncate_J
+from .superalg import SuperError, format_elem, int_digit_limit, parse, truncate_J
 from .atlas import (
     CYCLIC,
     HOM,
@@ -43,7 +42,7 @@ from .families import (
     build_generic,
     build_omega1,
     build_pi_plane,
-    normal_form_signs,
+    normal_forms,
     sym_restricted_rank,
 )
 from .selfcheck import DEFAULT_SEED, run_all
@@ -60,23 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_EXPONENT = re.compile(r"\s*[-+]?[\d_.]*[eE][-+]?([\d_]+)\s*")
-_TOO_LARGE = 10**MAX_INT_DIGITS  # the least integer of more than MAX_INT_DIGITS digits
-
-
 def _fraction(text: str) -> Fraction:
     """A rational from CLI text, refusing one too large to print in a report."""
-    m = _EXPONENT.fullmatch(text)
-    if m:  # checked before Fraction() spends its time on 10**exponent
-        digits = m[1].replace("_", "").lstrip("0") or "0"
-        if len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS:
-            raise UsageError(f"exponent of {text!r} exceeds the bound {MAX_INT_DIGITS}")
+    limit = int_digit_limit()
+    m = _RATIONAL_FORMAT.match(text)  # the grammar Fraction() itself parses
+    exp = m["exp"].replace("_", "") if m and m["exp"] else "0"
+    # checked before Fraction() spends its time on 10**exponent; lengths first,
+    # as int() of a long digit string is slow, or refused
+    if len(exp) > limit or abs(int(exp)) > limit:
+        raise UsageError(f"exponent of {text!r} exceeds the bound {limit}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
-    if max(abs(value.numerator), value.denominator) >= _TOO_LARGE:
-        raise UsageError(f"{text!r} has more than {MAX_INT_DIGITS} digits in its numerator or denominator")
+    n = max(abs(value.numerator), value.denominator)
+    if n.bit_length() > 3 * limit and n >= 10**limit:  # 10**limit has more bits than that
+        raise UsageError(f"{text!r} has more than {limit} digits in its numerator or denominator")
     return value
 
 
@@ -194,7 +192,7 @@ def _cmd_berezinian(args):
     details = {
         "lambda": str(lam),
         "pair": _pair_str(pair),
-        "value": format_elem(raw * normal_form_signs(atlas)[pair]),
+        "value": format_elem(normal_forms(atlas, {pair: raw})[pair]),
         "raw_value": format_elem(raw),
     }
     return "value", details
@@ -203,12 +201,12 @@ def _cmd_berezinian(args):
 def _cmd_calabi_yau(args):
     atlas, lam = _get_atlas(args)
     rep = is_calabi_yau(atlas)
-    signs = normal_form_signs(atlas)
+    normal = normal_forms(atlas, {p: rep.berezinians[p] for p in CYCLIC})
     details = {
         "lambda": str(lam),
         "flag": rep.ok,
         "berezinians": {_pair_str(k): format_elem(v) for k, v in rep.berezinians.items()},
-        "normal_form": {_pair_str(p): format_elem(rep.berezinians[p] * signs[p]) for p in CYCLIC},
+        "normal_form": {_pair_str(p): format_elem(v) for p, v in normal.items()},
     }
     return ("pass" if rep.ok else "fail"), details
 

@@ -259,21 +259,11 @@ def big_cell(i: int) -> SuperMatrix:
     c = standard_chart(i)
     t = c.table
     one, zero = SuperElem.one(t), SuperElem.zero(t)
-    z1, z2 = (SuperElem.var(t, n) for n in t.even)
-    t1, t2 = (SuperElem.var(t, n) for n in t.odd)
-    others = affine_indices(i)
-    even_row = [zero, zero, zero]
-    odd_row = [zero, zero, zero]
+    even_row, odd_row = [zero] * 3, [zero] * 3
     even_row[i] = one
-    odd_row[others[0]] = t1
-    odd_row[others[1]] = t2
-    even_row[others[0]] = z1
-    even_row[others[1]] = z2
-    A = [even_row]
-    B = [odd_row]
-    C = [[-e for e in odd_row]]
-    D = [list(even_row)]
-    return SuperMatrix(t, A, B, C, D)
+    for col, z, theta in zip(affine_indices(i), t.even, t.odd):
+        even_row[col], odd_row[col] = SuperElem.var(t, z), SuperElem.var(t, theta)
+    return SuperMatrix(t, [even_row], [odd_row], [[-e for e in odd_row]], [list(even_row)])
 
 
 def build_pi_plane() -> Atlas:
@@ -380,12 +370,18 @@ def normal_form_signs(atlas: Atlas) -> dict[tuple[int, int], int]:
     return signs
 
 
+def normal_forms(atlas: Atlas, raw: dict[tuple[int, int], SuperElem]) -> dict[tuple[int, int], SuperElem]:
+    """Each given raw Berezinian of a cyclic overlap in normal form: the raw
+    value times its `normal_form_signs` entry, written over chart j's table."""
+    signs = normal_form_signs(atlas)
+    return {pair: value * signs[pair] for pair, value in raw.items()}
+
+
 def berezinian_normal_form(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
-    """Berezinian of the overlap map in the theorem arrangement: the raw value
-    times its `normal_form_signs` entry, written over chart j's table."""
+    """Berezinian of the overlap map in the theorem arrangement (`normal_forms`)."""
     if pair not in CYCLIC:
         raise SuperError(f"normal form defined for the cyclic overlaps, got {pair}")
-    return berezinian_raw(atlas, pair) * normal_form_signs(atlas)[pair]
+    return normal_forms(atlas, {pair: berezinian_raw(atlas, pair)})[pair]
 
 
 def berezinian_raw(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:

@@ -13,6 +13,7 @@ No floats are used anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -428,9 +429,10 @@ _TOKEN_CHARS = set("+-*/^()")
 # (exponent arithmetic), but a bound constant such as 3/2 grows by digits.
 MAX_EXPONENT = 10**6
 
-# Most digits an integer literal may have: Python's default limit on
-# int-to-string conversion, beyond which the literal could not be printed.
-MAX_INT_DIGITS = 4300
+
+def int_digit_limit() -> int:
+    """Most digits an integer may print with: the process's limit, else Python's default."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -514,8 +516,9 @@ class _Parser:
             return -self.parse_factor()
         if kind == "int":
             self.next()
-            if len(value) > MAX_INT_DIGITS:  # checked before int() refuses it
-                raise ParseError(f"integer literal exceeds {MAX_INT_DIGITS} digits at position {pos}")
+            limit = int_digit_limit()
+            if len(value) > limit:  # checked before int() refuses it
+                raise ParseError(f"integer literal exceeds {limit} digits at position {pos}")
             return SuperElem.const(self.table, int(value))
         if kind == "(":
             self.next()

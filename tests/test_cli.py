@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -144,6 +145,33 @@ def test_lambda_exponent_bound_is_usage_error():
     assert (code, rep["details"]["error"]) == (2, "exponent of '1e10000000' exceeds the bound 4300")
     code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e2"])
     assert (code, rep["details"]["lambda"]) == (0, "100")
+
+
+# Forms of Fraction's own string grammar: signs, a bare or empty fractional
+# part, underscores, Unicode digits, surrounding whitespace.
+FRACTION_FORMS = ("-7e{e}", "+.5e{e}", "1.e{e}", "1_0e{e}", " 2.5E{e} ", "\u0663e{e}")
+
+
+@pytest.mark.parametrize("form", FRACTION_FORMS)
+def test_lambda_exponent_bound_reads_fraction_grammar(form):
+    for e in ("+4_301", "-99999999999999999999", "1" * 5000, "\u0664\u0663\u0660\u0661"):
+        text = form.format(e=e)
+        code, rep = report_of(["parse", "l", "--bind", f"l={text}"])
+        assert (code, rep["details"]["error"]) == (2, f"exponent of {text!r} exceeds the bound 4300")
+    for e in ("-3", "\u0660\u0663", "0" * 4000 + "2"):
+        text = form.format(e=e)
+        code, rep = report_of(["parse", "l", "--bind", f"l={text}"])
+        assert (code, rep["details"].get("canonical")) == (0, str(Fraction(text))), text
+
+
+def test_lambda_bounds_follow_the_process_limit(str_digits):
+    str_digits(640)
+    code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e641"])
+    assert (code, rep["details"]["error"]) == (2, "exponent of '1e641' exceeds the bound 640")
+    code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e640"])
+    assert (code, rep["details"]["error"]) == (2, "'1e640' has more than 640 digits in its numerator or denominator")
+    code, rep = report_of(["berezinian", "--family", "omega1", "--lambda", "1e639", "--pair", "0", "1"])
+    assert (code, rep["details"]["lambda"]) == (0, "1" + "0" * 639)
 
 
 def test_pi_plane_needs_lambda_one():

@@ -1,5 +1,6 @@
 """Core algebra: canonical forms, Koszul signs, inversion, substitution."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
-from supergeo.superalg import MAX_EXPONENT, MAX_INT_DIGITS
+from supergeo.superalg import MAX_EXPONENT, int_digit_limit
 
 from oracles import add, elem_to_naive, mul, naive_add, naive_mul
 
@@ -462,9 +463,22 @@ def test_parse_exponent_bound():
             parse(text, T, {"l": Fraction(3, 2)})
 
 
-def test_parse_integer_literal_bound():
-    assert MAX_INT_DIGITS == 4300
+def test_parse_integer_literal_bound(str_digits):
+    str_digits(4300)
+    assert int_digit_limit() == 4300
     assert parse("9" * 4300, T) == int("9" * 4300)
     for text, pos in (("1" * 4301, 0), ("z + 2*" + "3" * 5000, 6), ("0" * 4300 + "1", 0)):
         with pytest.raises(ParseError, match=f"^integer literal exceeds 4300 digits at position {pos}$"):
             parse(text, T)
+
+
+def test_integer_literal_bound_follows_the_process_limit(str_digits):
+    str_digits(640)  # the least limit Python accepts: int() refuses 641 digits
+    assert int_digit_limit() == 640
+    assert parse("9" * 640, T) == int("9" * 640)
+    with pytest.raises(ParseError, match="^integer literal exceeds 640 digits at position 4$"):
+        parse("z + " + "9" * 641, T)
+    str_digits(0)  # no process limit: Python's default still bounds a literal
+    assert int_digit_limit() == sys.int_info.default_max_str_digits == 4300
+    with pytest.raises(ParseError, match="^integer literal exceeds 4300 digits at position 0$"):
+        parse("1" * 4301, T)
