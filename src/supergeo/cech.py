@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from . import families
-from .superalg import SuperElem, SuperError, format_elem, substitute
+from .superalg import SuperElem, SuperError, format_elem, printable, substitute
 from .atlas import (
     AFFINE,
     CYCLIC,
@@ -32,6 +32,10 @@ from .atlas import (
 )
 
 
+# Most monomials basis_top builds; C(-k-1, n) grows like |k|^n.
+MAX_BASIS = 10**5
+
+
 def h_line(n: int, k: int, q: int) -> int:
     """dim H^q(P^n, O(k)): monomial count at q = 0, its dual at q = n, else 0."""
     if n < 1 or q < 0 or q > n:
@@ -45,14 +49,7 @@ def h_line(n: int, k: int, q: int) -> int:
 
 def euler_char(n: int, k: int) -> int:
     """chi(O(k)) = product_{i=1..n} (k+i) / n!, valid for every integer k."""
-    num = 1
-    for i in range(1, n + 1):
-        num *= k + i
-    val = Fraction(num, 1)
-    for i in range(2, n + 1):
-        val /= i
-    assert val.denominator == 1
-    return int(val)
+    return prod(range(k + 1, k + n + 1)) // factorial(n)
 
 
 def serre_dual_params(n: int, k: int, q: int) -> tuple[int, int, int]:
@@ -61,10 +58,17 @@ def serre_dual_params(n: int, k: int, q: int) -> tuple[int, int, int]:
 
 
 def basis_top(n: int, k: int) -> list[tuple[int, ...]]:
-    """Monomial basis of H^n(P^n, O(k)): degree-k exponents, all <= -1."""
+    """Monomial basis of H^n(P^n, O(k)): degree-k exponents, all <= -1.
+
+    Refuses a basis of more than MAX_BASIS monomials before building it.
+    """
     total = -k - (n + 1)
     if total < 0:
         return []
+    count = comb(-k - 1, n)
+    if count > MAX_BASIS:
+        shown = count if printable(count) else "too many"
+        raise ValueError(f"H^{n}(P^{n}, O({k})) has {shown} basis monomials, above the bound {MAX_BASIS}")
     out = []
 
     def gen(prefix, remaining, slots):
@@ -100,28 +104,6 @@ def bott(n: int, p: int, k: int, q: int) -> int:
     return 0
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
 def h1_tangent(n: int, k: int) -> int:
     """dim H^1(P^n, T(k)), computed from the Euler sequence.
 
@@ -135,23 +117,10 @@ def h1_tangent(n: int, k: int) -> int:
         return h_line(1, k + 2, 1)
     if n > 2:
         return 0
-    src = basis_top(2, k)
-    if not src:
-        return 0
-    tgt = {m: a for a, m in enumerate(basis_top(2, k + 1))}
-    rows = []
-    for m in src:
-        row = [Fraction(0)] * (3 * len(tgt))
-        for i in range(3):
-            shifted = list(m)
-            shifted[i] += 1
-            key = tuple(shifted)
-            if key in tgt:
-                row[i * len(tgt) + tgt[key]] = Fraction(1)
-        rows.append(row)
-    if not tgt:
-        return len(src)
-    return len(src) - _rank(rows)
+    # X_i sends a basis monomial m to m + e_i, or to 0 when m_i = -1, and
+    # distinct m to distinct images: the map is monomial, so its kernel is
+    # spanned by the m that all three X_i kill, those with every exponent -1.
+    return sum(1 for m in basis_top(2, k) if min(m) == -1)
 
 
 def h1_tangent_bott(n: int, k: int) -> int:

@@ -14,7 +14,7 @@ import sys
 from fractions import _RATIONAL_FORMAT, Fraction
 
 from . import __version__
-from .superalg import SuperError, format_elem, int_digit_limit, parse, truncate_J
+from .superalg import SuperError, format_elem, int_digit_limit, parse, printable, truncate_J
 from .atlas import (
     CYCLIC,
     HOM,
@@ -72,9 +72,15 @@ def _fraction(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
-    n = max(abs(value.numerator), value.denominator)
-    if n.bit_length() > 3 * limit and n >= 10**limit:  # 10**limit has more bits than that
+    if not printable(value):
         raise UsageError(f"{text!r} has more than {limit} digits in its numerator or denominator")
+    return value
+
+
+def _printed(value: int) -> int:
+    """A reported integer, refusing one too large to print."""
+    if not printable(value):
+        raise UsageError(f"the result has more than {int_digit_limit()} digits")
     return value
 
 
@@ -143,7 +149,7 @@ def _class_details(cls) -> dict:
 
 
 def _cmd_cohomology(args):
-    dim = h_line(args.n, args.k, args.q)
+    dim = _printed(h_line(args.n, args.k, args.q))
     details = {"dim": dim}
     if args.q == args.n:
         details["basis"] = [monomial_str(m) for m in basis_top(args.n, args.k)]
@@ -151,7 +157,7 @@ def _cmd_cohomology(args):
 
 
 def _cmd_bott(args):
-    return "value", {"dim": bott(args.n, args.p, args.k, args.q)}
+    return "value", {"dim": _printed(bott(args.n, args.p, args.k, args.q))}
 
 
 def _cmd_h1_tangent(args):
@@ -249,7 +255,7 @@ def _cmd_pi_plane_compare(args):
 
 
 def _cmd_sym_rank(args):
-    even, odd = sym_restricted_rank(args.k)
+    even, odd = map(_printed, sym_restricted_rank(args.k))
     return "value", {"k": args.k, "even": even, "odd": odd}
 
 

@@ -155,9 +155,6 @@ class SuperElem:
         """The J-degree-0 part (no odd factors)."""
         return _adopt(self.table, {k: c for k, c in self.terms.items() if k[1] == 0})
 
-    def j_degrees(self) -> set[int]:
-        return {mask.bit_count() for _, mask in self.terms}
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "SuperElem") -> None:
@@ -435,6 +432,16 @@ def int_digit_limit() -> int:
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
+def printable(*values: int | Fraction) -> bool:
+    """Whether every value has at most int_digit_limit() digits in numerator and denominator."""
+    limit = int_digit_limit()
+    for value in values:
+        n = max(abs(value.numerator), value.denominator)
+        if n.bit_length() > 3 * limit and n >= 10**limit:  # 10**limit has more bits than that
+            return False
+    return True
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i = 0
@@ -564,6 +571,8 @@ def parse(text: str, table: VarTable, bindings: Mapping[str, Fraction] | None = 
     parser = _Parser(text, table, dict(bindings or {}))
     out = parser.parse_expr()
     parser.expect("end")
+    if not printable(*out.terms.values()):
+        raise ParseError(f"a coefficient exceeds {int_digit_limit()} digits in its numerator or denominator")
     return out
 
 

@@ -136,16 +136,6 @@ class SuperMatrix:
                         )
 
     @classmethod
-    def identity(cls, table: VarTable, p: int, q: int) -> "SuperMatrix":
-        A = _zeros(table, p, p)
-        D = _zeros(table, q, q)
-        for i in range(p):
-            A[i][i] = SuperElem.one(table)
-        for i in range(q):
-            D[i][i] = SuperElem.one(table)
-        return cls(table, A, _zeros(table, p, q), _zeros(table, q, p), D, check=False)
-
-    @classmethod
     def from_grid(cls, table: VarTable, grid: Grid, p: int, r: int) -> "SuperMatrix":
         """Split a (p+q) x (r+s) grid into blocks at row p, column r."""
         A = [row[:r] for row in grid[:p]]
@@ -158,9 +148,6 @@ class SuperMatrix:
         top = [ra + rb for ra, rb in zip(self.A, self.B)]
         bot = [rc + rd for rc, rd in zip(self.C, self.D)]
         return top + bot
-
-    def entry(self, i: int, j: int) -> SuperElem:
-        return self.grid()[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):

@@ -10,12 +10,13 @@ tables.
 
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
-functions ``add``/``mul``, the second Berezinian convention ``berezinian_alt``,
+functions ``add``/``mul``, the former methods ``j_degrees`` and
+``identity_matrix``, the second Berezinian convention ``berezinian_alt``,
 exact map inversion ``invert_map``, the ``identity_cocycle``, and
 ``normal_form_map``, which recomposes an overlap map in the adapted frames.
 It imports what it needs from ``supergeo.superalg``, ``supergeo.supermat``
-(including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub`` and
-``_require_square``), ``supergeo.atlas`` and ``supergeo.families``.
+(including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub``,
+``_require_square`` and ``_zeros``), ``supergeo.atlas`` and ``supergeo.families``.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from itertools import permutations
 
 from supergeo import SuperElem, VarTable, parse
 from supergeo.superalg import SuperError, deriv_odd_left, format_elem, invert_unit, substitute
-from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, det_even
+from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, _zeros, det_even
 from supergeo.atlas import (
     CYCLIC,
     Atlas,
@@ -231,6 +232,22 @@ def add(a: SuperElem, b: SuperElem) -> SuperElem:
 
 def mul(a: SuperElem, b: SuperElem) -> SuperElem:
     return a * b
+
+
+def j_degrees(a: SuperElem) -> set[int]:
+    """The J-degrees of a's terms (was the method SuperElem.j_degrees)."""
+    return {mask.bit_count() for _, mask in a.terms}
+
+
+def identity_matrix(table: VarTable, p: int, q: int) -> SuperMatrix:
+    """The p|q identity matrix (was the classmethod SuperMatrix.identity)."""
+    A = _zeros(table, p, p)
+    D = _zeros(table, q, q)
+    for i in range(p):
+        A[i][i] = SuperElem.one(table)
+    for i in range(q):
+        D[i][i] = SuperElem.one(table)
+    return SuperMatrix(table, A, _zeros(table, p, q), _zeros(table, q, p), D, check=False)
 
 
 

@@ -31,7 +31,7 @@ from supergeo import (
     substitute,
 )
 from supergeo.atlas import CYCLIC, chart0_walk
-from supergeo.cech import _homogenize
+from supergeo.cech import MAX_BASIS, _homogenize
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs, rescale_odd
 
 from oracles import count_h0, count_hn
@@ -146,11 +146,37 @@ def test_h1_tangent_frozen():
 
 
 def test_h1_tangent_two_routes_agree():
-    for k in range(-10, 11):
-        kernel = h1_tangent(2, k)
-        dual = h1_tangent_bott(2, k)
-        assert kernel == dual
-        assert kernel == (1 if k == -3 else 0)
+    for n in (1, 2, 3, 4):
+        for k in range(-40, 13):
+            kernel = h1_tangent(n, k)
+            assert kernel == h1_tangent_bott(n, k), (n, k)
+            if n == 2:
+                assert kernel == (1 if k == -3 else 0)
+
+
+def test_euler_sequence_map_is_monomial():
+    # h1_tangent counts the kernel of m -> (m + e_i)_i on the top bases; that
+    # count is the kernel only because each X_i is injective on the basis and
+    # sends every monomial into the target basis or out of the totally
+    # negative ones (to 0).
+    for k in range(-40, 13):
+        source, target = basis_top(2, k), set(basis_top(2, k + 1))
+        for i in range(3):
+            images = [tuple(e + (c == i) for c, e in enumerate(m)) for m in source]
+            assert len(set(images)) == len(images)
+            assert all(image in target or max(image) > -1 for image in images)
+
+
+def test_basis_bound():
+    assert MAX_BASIS == 10**5
+    assert len(basis_top(2, -448)) == h_line(2, -448, 2) == 99_681
+    message = r"^H\^2\(P\^2, O\(-449\)\) has 100128 basis monomials, above the bound 100000$"
+    with pytest.raises(ValueError, match=message):
+        basis_top(2, -449)
+    with pytest.raises(ValueError, match=message):
+        h1_tangent(2, -449)
+    with pytest.raises(ValueError, match="has 50445672272782096667406248628 basis monomials"):
+        basis_top(50, -100)
 
 
 def test_h1_tangent_projective_line_ladder():

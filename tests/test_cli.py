@@ -42,6 +42,42 @@ def test_cohomology_bad_degree_is_usage_error():
     assert rep["outcome"] == "usage-error"
 
 
+def test_basis_bound_is_usage_error():
+    code, rep = report_of(["cohomology", "--n", "2", "--k=-448", "--q", "2"])
+    assert (code, rep["details"]["dim"], len(rep["details"]["basis"])) == (0, 99_681, 99_681)
+    assert report_of(["h1-tangent", "--n", "2", "--k=-448"])[1]["details"]["agree"] is True
+    error = "H^2(P^2, O(-449)) has 100128 basis monomials, above the bound 100000"
+    for argv in (["cohomology", "--n", "2", "--k=-449", "--q", "2"], ["h1-tangent", "--n", "2", "--k=-449"]):
+        code, rep = report_of(argv)
+        assert (code, rep["outcome"], rep["details"]["error"]) == (2, "usage-error", error)
+    code, rep = report_of(["cohomology", "--n", "50", "--k=-100", "--q", "50"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert "above the bound 100000" in rep["details"]["error"]
+    # a count too long to print is not printed
+    code, rep = report_of(["h1-tangent", "--n", "2", "--k=-" + "9" * 3000])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"].endswith(") has too many basis monomials, above the bound 100000")
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--n", "20000", "--k", "20000", "--q", "0"],
+        ["bott", "--n", "20000", "--p", "0", "--k", "20000", "--q", "0"],
+        ["sym-rank", "--k", NINES],
+        ["cohomology", "--n", "1", "--k", NINES, "--q", "0"],
+    ],
+    ids=["cohomology", "bott", "sym-rank", "cohomology-long-k"],
+)
+def test_unprintable_result_is_usage_error(argv, capsys):
+    assert main([*argv, "--json"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["outcome"], rep["details"]) == ("usage-error", {"error": "the result has more than 4300 digits"})
+
+
 def test_bott_and_h1_tangent():
     code, rep = report_of(["bott", "--n", "2", "--p", "1", "--k", "0", "--q", "1"])
     assert (code, rep["details"]["dim"]) == (0, 1)
@@ -315,6 +351,20 @@ def test_parse_command_integer_literal_bound():
     assert rep["details"]["error"] == "integer literal exceeds 4300 digits at position 6"
     code, rep = report_of(["parse", "7" * 4300])
     assert (code, rep["details"]["canonical"]) == (0, "7" * 4300)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "9" * 3000 + "*" + "9" * 3000], ["parse", "l*l", "--bind", "l=" + "9" * 3000]],
+    ids=["literals", "binding"],
+)
+def test_parse_command_unprintable_coefficient(argv, capsys):
+    assert main([*argv, "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["outcome"], rep["details"]) == (
+        "fail",
+        {"error": "a coefficient exceeds 4300 digits in its numerator or denominator"},
+    )
 
 
 @pytest.mark.parametrize("cases", ["0", "-5"])

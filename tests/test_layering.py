@@ -4,7 +4,8 @@ Each module may import only the modules before it in LAYERS, and only names
 that those modules define themselves.  The package ``__init__`` re-exports the
 layers and is not one of them; a module may read ``__version__`` from it,
 which it sets before importing any layer.  A public function or class of a
-layer is one the program runs or the README documents.
+layer, and a public method of a public class, is one the program runs or the
+README documents.
 """
 
 import ast
@@ -143,6 +144,11 @@ def test_checker_sees_an_import_through_a_reexport():
     assert reexported_imports(trees) == ["top.py:1: f is not defined in mid"]
 
 
+def readme_names(readme: str, name: str) -> bool:
+    """Whether the README names `name` in backquotes or as name(."""
+    return f"`{name}`" in readme or re.search(rf"\b{name}\(", readme) is not None
+
+
 def unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
     """Public top-level defs and classes that no layer uses and the README does not name.
 
@@ -165,9 +171,8 @@ def unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
             name = node.name
             if name.startswith("_") or name in loaded or (module, name) in imported:
                 continue
-            if f"`{name}`" in readme or re.search(rf"\b{name}\(", readme):
-                continue
-            problems.append(f"{module}.{name}")
+            if not readme_names(readme, name):
+                problems.append(f"{module}.{name}")
     return problems
 
 
@@ -187,3 +192,42 @@ def test_checker_sees_an_unused_public_name():
     }
     readme = "Call `shown` or main(); matmul(a, b) does not name mul.\n"
     assert unused_public_names(trees, readme) == ["low.mul", "low.Dead"]
+
+
+def unused_public_methods(trees: dict[str, ast.Module], readme: str) -> list[str]:
+    """Public methods of public classes that no layer reads and the README does not name.
+
+    A method is read when any layer loads an attribute of that name; the
+    README names it as `name` or name(.
+    """
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    problems = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if not (name.startswith("_") or name in read or readme_names(readme, name)):
+                    problems.append(f"{module}.{cls.name}.{name}")
+    return problems
+
+
+def test_every_public_method_is_used_or_documented():
+    trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
+    assert unused_public_methods(trees, README.read_text()) == []
+
+
+def test_checker_sees_an_unused_public_method():
+    trees = {
+        "low": ast.parse(
+            "class Elem:\n    def read(self):\n        pass\n    def shown(self):\n        pass\n"
+            "    def dead(self):\n        pass\n    def _private(self):\n        pass\n"
+            "class _Hidden:\n    def dead_too(self):\n        pass\n"
+        ),
+        "top": ast.parse("from .low import Elem\ndef main(e):\n    return e.read\n"),
+    }
+    readme = "Call `shown`; dead_code() does not name dead.\n"
+    assert unused_public_methods(trees, readme) == ["low.Elem.dead"]
