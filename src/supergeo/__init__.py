@@ -31,12 +31,9 @@ from .atlas import (
     Atlas,
     Chart,
     TransitionMap,
-    atlas_from_json,
-    atlas_to_json,
     chart0_walk,
     check_cocycle_loop,
     compose,
-    compose_jacobians,
     even_remainder_derivation,
     identity_map,
     is_calabi_yau,
@@ -71,10 +68,8 @@ from .families import (
     build_pi_plane,
     cotangent_cocycle,
     decomposable_cocycle,
-    det_cocycle,
     fermionic_cocycle,
     frame_signs,
     normal_form_signs,
-    rescale_odd,
     sym_restricted_rank,
 )

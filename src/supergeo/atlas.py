@@ -11,7 +11,6 @@ inverts one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .superalg import (
     deriv_even,
     deriv_odd_left,
     format_elem,
-    parse,
     substitute,
     truncate_J,
 )
@@ -182,37 +180,6 @@ def jacobian(f: TransitionMap) -> SuperMatrix:
     return SuperMatrix(src.table, A, B, C, D)
 
 
-def compose_jacobians(f: TransitionMap, g: TransitionMap) -> SuperMatrix:
-    """Chain rule for left-derivative Jacobians.
-
-    For left derivatives the correct product is the graded-ordered one,
-        J(f o g)[l][m] = sum_i J(g)[i][m] * (J(f)[l][i] o g),
-    with the J(g) factor on the left.  (The naive matmul of the substituted
-    matrices differs by Koszul signs and is NOT the chain rule here; this is
-    asserted in the tests.)
-    """
-    if f.source != g.target:
-        raise SuperError("compose_jacobians: charts do not line up")
-    jf = jacobian(f).grid()
-    jg = jacobian(g).grid()
-    src_names = g.source.table.names
-    mid_names = f.source.table.names
-    tgt_names = f.target.table.names
-    jf_sub = [[substitute(e, g.assignment) if not e.is_zero() else SuperElem.zero(g.source.table) for e in row] for row in jf]
-    grid = []
-    for l in range(len(tgt_names)):
-        row = []
-        for m in range(len(src_names)):
-            acc = SuperElem.zero(g.source.table)
-            for i in range(len(mid_names)):
-                acc = acc + jg[i][m] * jf_sub[l][i]
-            row.append(acc)
-        grid.append(row)
-    p = len(f.target.table.even)
-    r = len(g.source.table.even)
-    return SuperMatrix.from_grid(g.source.table, grid, p, r)
-
-
 # -- atlases -----------------------------------------------------------------
 
 
@@ -312,44 +279,3 @@ def even_remainder_derivation(f: TransitionMap) -> dict[str, SuperElem]:
         elem = f.assignment[name]
         out[name] = elem - truncate_J(elem, 2)
     return out
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def atlas_to_json(atlas: Atlas) -> str:
-    """Deterministic JSON; round trips bit-exactly through atlas_from_json."""
-    data = {
-        "charts": [
-            {
-                "index": c.index,
-                "even": list(c.table.even),
-                "odd": list(c.table.odd),
-            }
-            for _, c in sorted(atlas.charts.items())
-        ],
-        "maps": {
-            f"{i}<-{j}": {
-                name: format_elem(elem)
-                for name, elem in sorted(atlas.maps[(i, j)].assignment.items())
-            }
-            for (i, j) in sorted(atlas.maps)
-        },
-        "notes": list(atlas.notes),
-    }
-    return json.dumps(data, sort_keys=True, indent=1)
-
-
-def atlas_from_json(text: str) -> Atlas:
-    data = json.loads(text)
-    charts = {}
-    for entry in data["charts"]:
-        c = Chart(int(entry["index"]), VarTable(tuple(entry["even"]), tuple(entry["odd"])))
-        charts[c.index] = c
-    maps = {}
-    for key, assigns in data["maps"].items():
-        tgt_s, src_s = key.split("<-")
-        tgt, src = charts[int(tgt_s)], charts[int(src_s)]
-        assignment = {name: parse(text, src.table) for name, text in assigns.items()}
-        maps[(tgt.index, src.index)] = TransitionMap(src, tgt, assignment)
-    return Atlas(charts.values(), maps, tuple(data.get("notes", ())))

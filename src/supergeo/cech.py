@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, prod
+from operator import sub
 
 from . import families
-from .superalg import SuperElem, SuperError, format_elem, printable, substitute
+from .superalg import SuperElem, SuperError, format_elem, int_digit_limit, printable, substitute
 from .atlas import (
     AFFINE,
     CYCLIC,
@@ -32,8 +34,23 @@ from .atlas import (
 )
 
 
-# Most monomials basis_top builds; C(-k-1, n) grows like |k|^n.
+# Most monomials basis_top builds; C(-k-1, n) grows like |k|^n.  It also
+# builds at most 3 * MAX_BASIS exponents, n + 1 per monomial.
 MAX_BASIS = 10**5
+
+
+def _comb(N: int, m: int) -> int:
+    """comb(N, m) for 0 <= m <= N, refusing at once a value too long to print.
+
+    With j = min(m, N - m), C(N, m) >= (N/j)^j >= 2^(j * floor(log2(N // j))),
+    and a number of 4 * limit bits or more is at least 16^limit, so it has
+    more than limit = int_digit_limit() digits.
+    """
+    j = min(m, N - m)
+    limit = int_digit_limit()
+    if j > 0 and j * ((N // j).bit_length() - 1) >= 4 * limit:
+        raise ValueError(f"the result has more than {limit} digits")
+    return comb(N, m)
 
 
 def h_line(n: int, k: int, q: int) -> int:
@@ -41,9 +58,9 @@ def h_line(n: int, k: int, q: int) -> int:
     if n < 1 or q < 0 or q > n:
         raise ValueError(f"h_line: bad degree q={q} for P^{n}")
     if q == 0:
-        return comb(n + k, n) if k >= 0 else 0
+        return _comb(n + k, n) if k >= 0 else 0
     if q == n:
-        return comb(-k - 1, n) if k <= -n - 1 else 0
+        return _comb(-k - 1, n) if k <= -n - 1 else 0
     return 0
 
 
@@ -60,7 +77,8 @@ def serre_dual_params(n: int, k: int, q: int) -> tuple[int, int, int]:
 def basis_top(n: int, k: int) -> list[tuple[int, ...]]:
     """Monomial basis of H^n(P^n, O(k)): degree-k exponents, all <= -1.
 
-    Refuses a basis of more than MAX_BASIS monomials before building it.
+    Refuses a basis of more than MAX_BASIS monomials, or of more than
+    3 * MAX_BASIS exponents, before building it.
     """
     total = -k - (n + 1)
     if total < 0:
@@ -69,17 +87,16 @@ def basis_top(n: int, k: int) -> list[tuple[int, ...]]:
     if count > MAX_BASIS:
         shown = count if printable(count) else "too many"
         raise ValueError(f"H^{n}(P^{n}, O({k})) has {shown} basis monomials, above the bound {MAX_BASIS}")
-    out = []
-
-    def gen(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [-1 - remaining]))
-            return
-        for take in range(remaining + 1):
-            gen(prefix + [-1 - take], remaining - take, slots - 1)
-
-    gen([], total, n + 1)
-    return sorted(out)
+    if count * (n + 1) > 3 * MAX_BASIS:
+        raise ValueError(
+            f"H^{n}(P^{n}, O({k})) has {count} basis monomials of {n + 1} exponents each, "
+            f"above the bound {3 * MAX_BASIS} exponents"
+        )
+    # stars and bars: n bars among total + n slots, and the exponent of X_i is
+    # -1 minus the number of stars between bars i - 1 and i (bar -1 and bar
+    # total + n are the ends); linear in the output, however large n is
+    end = total + n
+    return sorted(tuple(map(sub, (-1, *bars), (*bars, end))) for bars in combinations(range(end), n))
 
 
 def monomial_str(exps: tuple[int, ...]) -> str:
@@ -98,9 +115,9 @@ def bott(n: int, p: int, k: int, q: int) -> int:
     if q == p and k == 0:
         return 1
     if q == 0 and k > p:
-        return comb(k + n - p, k) * comb(k - 1, p)
+        return _comb(k + n - p, k) * _comb(k - 1, p)
     if q == n and k < p - n:
-        return comb(-k + p, -k) * comb(-k - 1, n - p)
+        return _comb(-k + p, -k) * _comb(-k - 1, n - p)
     return 0
 
 

@@ -108,6 +108,8 @@ def _get_atlas(args):
                 data = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        except RecursionError:
+            raise UsageError(f"{path}: JSON nested too deeply to read") from None
         matrices = data.get("matrices") if isinstance(data, dict) else None
         if not isinstance(matrices, dict):
             raise UsageError(f'{path}: expected a JSON object with a "matrices" object')

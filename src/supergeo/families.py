@@ -22,7 +22,6 @@ from .atlas import (
     TransitionMap,
     affine_indices,
     chart0_walk,
-    compose,
     correction,
     jacobian,
     normal_form_orders,
@@ -164,19 +163,6 @@ def _frame_signs(powers) -> dict[int, int]:
     return s
 
 
-def det_cocycle(mc: MatrixCocycle) -> int:
-    """Identify det M_{i<-j} with a line-bundle cocycle; return its twist k.
-
-    The determinant of each matrix must be sign * pivot^k for the overlap's
-    pivot variable; the exponent k must agree on all three overlaps and the
-    signs must multiply to +1 (a constant base change then removes them).
-    """
-    powers = _det_powers(mc)
-    twist = _det_twist(powers)
-    _frame_signs(powers)
-    return twist
-
-
 def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
     """Extract the odd-block matrices M_{i<-j} from the stored cyclic maps."""
     mats = {}
@@ -308,33 +294,6 @@ def atlas_equal(a: Atlas, b: Atlas) -> bool:
     if set(a.maps) != set(b.maps):
         raise SuperError("atlases store different overlap sets")
     return all(a.maps[key].assignment == b.maps[key].assignment for key in a.maps)
-
-
-def rescale_odd(atlas: Atlas, c) -> Atlas:
-    """Globally rescale the odd coordinates by c; the deformation scales by 1/c^2.
-
-    Conjugates every stored map by theta -> c*theta on each chart: the odd
-    blocks are untouched while an even term bilinear in the source odds picks
-    up 1/c^2, so rescale_odd(build_decomposable(4), 2) == build_decomposable(1).
-    """
-    c = Fraction(c)
-    if not c:
-        raise SuperError("odd rescaling must be invertible")
-    maps = {}
-    for key, f in atlas.maps.items():
-        scale_tgt = _odd_scaling(f.target, c)
-        unscale_src = _odd_scaling(f.source, 1 / c)
-        maps[key] = compose(compose(scale_tgt, f), unscale_src)
-    return Atlas(atlas.charts.values(), maps, atlas.notes)
-
-
-def _odd_scaling(chart: Chart, c: Fraction) -> TransitionMap:
-    assignment = {}
-    for name in chart.table.even:
-        assignment[name] = SuperElem.var(chart.table, name)
-    for name in chart.table.odd:
-        assignment[name] = SuperElem.var(chart.table, name) * c
-    return TransitionMap(chart, chart, assignment)
 
 
 def sym_restricted_rank(k: int) -> tuple[int, int]:

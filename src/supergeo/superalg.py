@@ -426,6 +426,10 @@ _TOKEN_CHARS = set("+-*/^()")
 # (exponent arithmetic), but a bound constant such as 3/2 grows by digits.
 MAX_EXPONENT = 10**6
 
+# Most open parentheses and unary minuses the parser nests; each costs a few
+# Python frames, so this keeps parse well inside the recursion limit.
+MAX_DEPTH = 100
+
 
 def int_digit_limit() -> int:
     """Most digits an integer may print with: the process's limit, else Python's default."""
@@ -479,6 +483,7 @@ class _Parser:
         self.pos = 0
         self.table = table
         self.bindings = bindings
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -518,20 +523,24 @@ class _Parser:
 
     def parse_factor(self) -> SuperElem:
         kind, value, pos = self.peek()
-        if kind == "-":
+        if kind in ("-", "("):
             self.next()
-            return -self.parse_factor()
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH} at position {pos}")
+            if kind == "-":
+                inner = -self.parse_factor()
+            else:
+                inner = self.parse_expr()
+                self.expect(")")
+            self.depth -= 1
+            return inner
         if kind == "int":
             self.next()
             limit = int_digit_limit()
             if len(value) > limit:  # checked before int() refuses it
                 raise ParseError(f"integer literal exceeds {limit} digits at position {pos}")
             return SuperElem.const(self.table, int(value))
-        if kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
         if kind == "ident":
             self.next()
             if value in self.table.even or value in self.table.odd:

@@ -135,15 +135,6 @@ class SuperMatrix:
                             f"entry parity violates block structure: {entry}"
                         )
 
-    @classmethod
-    def from_grid(cls, table: VarTable, grid: Grid, p: int, r: int) -> "SuperMatrix":
-        """Split a (p+q) x (r+s) grid into blocks at row p, column r."""
-        A = [row[:r] for row in grid[:p]]
-        B = [row[r:] for row in grid[:p]]
-        C = [row[:r] for row in grid[p:]]
-        D = [row[r:] for row in grid[p:]]
-        return cls(table, A, B, C, D)
-
     def grid(self) -> Grid:
         top = [ra + rb for ra, rb in zip(self.A, self.B)]
         bot = [rc + rd for rc, rd in zip(self.C, self.D)]

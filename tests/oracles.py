@@ -10,10 +10,12 @@ tables.
 
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
-functions ``add``/``mul``, the former methods ``j_degrees`` and
-``identity_matrix``, the second Berezinian convention ``berezinian_alt``,
-exact map inversion ``invert_map``, the ``identity_cocycle``, and
-``normal_form_map``, which recomposes an overlap map in the adapted frames.
+functions ``add``/``mul``, the former methods ``j_degrees``,
+``identity_matrix`` and ``from_grid``, the second Berezinian convention
+``berezinian_alt``, exact map inversion ``invert_map``, the
+``identity_cocycle``, ``normal_form_map``, which recomposes an overlap map in
+the adapted frames, the graded chain rule ``compose_jacobians``, and the odd
+rescaling ``rescale_odd``.
 It imports what it needs from ``supergeo.superalg``, ``supergeo.supermat``
 (including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub``,
 ``_require_square`` and ``_zeros``), ``supergeo.atlas`` and ``supergeo.families``.
@@ -32,6 +34,7 @@ from supergeo.atlas import (
     TransitionMap,
     compose,
     identity_map,
+    jacobian,
     normal_form_orders,
     standard_chart,
 )
@@ -223,7 +226,9 @@ def family_assignments(strings, lam):
 # `berezinian_alt` is the independent check on `berezinian` and `invert_map`
 # the independent check on `chart0_walk`; `identity_cocycle` is the det
 # twist 0 control; `normal_form_map` is the independent check on
-# `normal_form_signs`.
+# `normal_form_signs`; `compose_jacobians` is the reference for the graded
+# chain rule; `rescale_odd` makes metamorphic cases (the deformation moves by
+# 1/c^2).
 
 
 def add(a: SuperElem, b: SuperElem) -> SuperElem:
@@ -419,3 +424,71 @@ def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
         },
     )
     return compose(compose(r_tgt, f), r_src)
+
+
+def from_grid(table: VarTable, grid: list, p: int, r: int) -> SuperMatrix:
+    """Split a (p+q) x (r+s) grid into blocks at row p, column r (was the
+    classmethod SuperMatrix.from_grid)."""
+    A = [row[:r] for row in grid[:p]]
+    B = [row[r:] for row in grid[:p]]
+    C = [row[:r] for row in grid[p:]]
+    D = [row[r:] for row in grid[p:]]
+    return SuperMatrix(table, A, B, C, D)
+
+
+def compose_jacobians(f: TransitionMap, g: TransitionMap) -> SuperMatrix:
+    """Chain rule for left-derivative Jacobians.
+
+    For left derivatives the correct product is the graded-ordered one,
+        J(f o g)[l][m] = sum_i J(g)[i][m] * (J(f)[l][i] o g),
+    with the J(g) factor on the left.  (The naive matmul of the substituted
+    matrices differs by Koszul signs and is NOT the chain rule here; this is
+    asserted in the tests.)
+    """
+    if f.source != g.target:
+        raise SuperError("compose_jacobians: charts do not line up")
+    jf = jacobian(f).grid()
+    jg = jacobian(g).grid()
+    src_names = g.source.table.names
+    mid_names = f.source.table.names
+    tgt_names = f.target.table.names
+    jf_sub = [[substitute(e, g.assignment) if not e.is_zero() else SuperElem.zero(g.source.table) for e in row] for row in jf]
+    grid = []
+    for l in range(len(tgt_names)):
+        row = []
+        for m in range(len(src_names)):
+            acc = SuperElem.zero(g.source.table)
+            for i in range(len(mid_names)):
+                acc = acc + jg[i][m] * jf_sub[l][i]
+            row.append(acc)
+        grid.append(row)
+    p = len(f.target.table.even)
+    r = len(g.source.table.even)
+    return from_grid(g.source.table, grid, p, r)
+
+
+def rescale_odd(atlas: Atlas, c) -> Atlas:
+    """Globally rescale the odd coordinates by c; the deformation scales by 1/c^2.
+
+    Conjugates every stored map by theta -> c*theta on each chart: the odd
+    blocks are untouched while an even term bilinear in the source odds picks
+    up 1/c^2, so rescale_odd(build_decomposable(4), 2) == build_decomposable(1).
+    """
+    c = Fraction(c)
+    if not c:
+        raise SuperError("odd rescaling must be invertible")
+    maps = {}
+    for key, f in atlas.maps.items():
+        scale_tgt = _odd_scaling(f.target, c)
+        unscale_src = _odd_scaling(f.source, 1 / c)
+        maps[key] = compose(compose(scale_tgt, f), unscale_src)
+    return Atlas(atlas.charts.values(), maps, atlas.notes)
+
+
+def _odd_scaling(chart: Chart, c: Fraction) -> TransitionMap:
+    assignment = {}
+    for name in chart.table.even:
+        assignment[name] = SuperElem.var(chart.table, name)
+    for name in chart.table.odd:
+        assignment[name] = SuperElem.var(chart.table, name) * c
+    return TransitionMap(chart, chart, assignment)

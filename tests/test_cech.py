@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -31,10 +33,10 @@ from supergeo import (
     substitute,
 )
 from supergeo.atlas import CYCLIC, chart0_walk
-from supergeo.cech import MAX_BASIS, _homogenize
-from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs, rescale_odd
+from supergeo.cech import MAX_BASIS, _comb, _homogenize
+from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs
 
-from oracles import count_h0, count_hn
+from oracles import count_h0, count_hn, rescale_odd
 
 T0 = standard_chart(0).table
 
@@ -104,6 +106,33 @@ def test_basis_top_length_matches_dimension():
     for n in (1, 2):
         for k in range(-10, 2):
             assert len(basis_top(n, k)) == h_line(n, k, n)
+
+
+def test_basis_top_matches_brute_force():
+    for n in range(1, 5):
+        for k in range(-n - 8, 1):
+            brute = [m for m in product(range(k + n, 0), repeat=n + 1) if sum(m) == k]
+            assert basis_top(n, k) == brute  # product() runs in sorted order
+            assert len(brute) == count_hn(n, k)
+
+
+def test_comb_refuses_only_what_cannot_print(str_digits):
+    str_digits(640)
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(400):
+        N = rng.choice([rng.randrange(1, 6000), rng.randrange(1, 10**40)])
+        m = rng.randrange(0, min(N, 200) + 1)
+        m = rng.choice([m, N - m])
+        try:
+            value = _comb(N, m)
+        except ValueError as exc:
+            assert str(exc) == "the result has more than 640 digits"
+            assert comb(N, m) >= 10**640
+            refused += 1
+        else:
+            assert value == comb(N, m)
+    assert 50 < refused < 350
 
 
 def test_monomial_str():
@@ -177,6 +206,11 @@ def test_basis_bound():
         h1_tangent(2, -449)
     with pytest.raises(ValueError, match="has 50445672272782096667406248628 basis monomials"):
         basis_top(50, -100)
+    # at most 3 * MAX_BASIS exponents in all, n + 1 per monomial
+    n = 3 * MAX_BASIS - 1
+    assert basis_top(n, -n - 1) == [(-1,) * (n + 1)]
+    with pytest.raises(ValueError, match=r"has 1 basis monomials of 300001 exponents each, above the bound 300000 exponents$"):
+        basis_top(n + 1, -n - 2)
 
 
 def test_h1_tangent_projective_line_ladder():

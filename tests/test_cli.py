@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from supergeo import cech
 from supergeo.cli import main, run
 
 GENERATOR = "X0^-1*X1^-1*X2^-1"
@@ -76,6 +77,37 @@ def test_unprintable_result_is_usage_error(argv, capsys):
     assert main([*argv, "--json"]) == 2
     rep = json.loads(capsys.readouterr().out)
     assert (rep["outcome"], rep["details"]) == ("usage-error", {"error": "the result has more than 4300 digits"})
+
+
+def test_basis_exponent_bound_is_usage_error():
+    code, rep = report_of(["cohomology", "--n", "999", "--k=-1000", "--q", "999"])
+    basis = "*".join(f"X{i}^-1" for i in range(1000))
+    assert (code, rep["details"]) == (0, {"dim": 1, "basis": [basis]})
+    code, rep = report_of(["cohomology", "--n", "2000", "--k=-2002", "--q", "2000"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == (
+        "H^2000(P^2000, O(-2002)) has 2001 basis monomials of 2001 exponents each, "
+        "above the bound 300000 exponents"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--n", "1000000", "--k", "1000000", "--q", "0"],
+        ["cohomology", "--n", "1000000", "--k=-2000001", "--q", "1000000"],
+        ["cohomology", "--n", "300", "--k=-" + NINES, "--q", "300"],
+        ["bott", "--n", "1000000", "--p", "0", "--k", "1000000", "--q", "0"],
+    ],
+    ids=["sections", "top", "long-k", "bott"],
+)
+def test_unprintable_binomial_is_refused_before_it_is_computed(argv, monkeypatch):
+    def comb(n, m):
+        raise AssertionError(f"comb({n}, {m}) computed")
+
+    monkeypatch.setattr(cech, "comb", comb)
+    code, rep = report_of(argv)
+    assert (code, rep["outcome"], rep["details"]) == (2, "usage-error", {"error": "the result has more than 4300 digits"})
 
 
 def test_bott_and_h1_tangent():
@@ -317,6 +349,20 @@ def test_generic_family_missing_overlap_is_usage_error(tmp_path):
     assert "matrices key '1<-2' is missing" in rep["details"]["error"]
 
 
+def test_generic_family_deeply_nested_entry_fails(tmp_path):
+    rows = {**DECOMPOSABLE_ROWS, "0<-1": [["(" * 400 + "1/z11" + ")" * 400, "0"], ["0", "1/z11^2"]]}
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", write_cocycle(tmp_path, rows)])
+    assert (code, rep["outcome"], rep["details"]) == (1, "fail", {"error": "nesting deeper than 100 at position 100"})
+
+
+def test_generic_family_deeply_nested_json_is_usage_error(tmp_path):
+    path = tmp_path / "cocycle.json"
+    path.write_text('{"matrices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", str(path)])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == f"{path}: JSON nested too deeply to read"
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------
@@ -351,6 +397,19 @@ def test_parse_command_integer_literal_bound():
     assert rep["details"]["error"] == "integer literal exceeds 4300 digits at position 6"
     code, rep = report_of(["parse", "7" * 4300])
     assert (code, rep["details"]["canonical"]) == (0, "7" * 4300)
+
+
+@pytest.mark.parametrize(
+    "expr, pos",
+    [("(" * 100 + "z10" + ")" * 100, None), ("(" * 330 + "z10" + ")" * 330, 100), ("1+" + "-" * 1000 + "z10", 102)],
+    ids=["at-the-bound", "parentheses", "minus-signs"],
+)
+def test_parse_command_nesting_bound(expr, pos):
+    code, rep = report_of(["parse", expr])
+    if pos is None:
+        assert (code, rep["details"]["canonical"]) == (0, "z10")
+    else:
+        assert (code, rep["outcome"], rep["details"]) == (1, "fail", {"error": f"nesting deeper than 100 at position {pos}"})
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import DECOMPOSABLE, OMEGA1, family_assignments, identity_cocycle, j_degrees, normal_form_map
+from oracles import (
+    DECOMPOSABLE,
+    OMEGA1,
+    family_assignments,
+    identity_cocycle,
+    j_degrees,
+    normal_form_map,
+    rescale_odd,
+)
 from supergeo import (
     Atlas,
     MatrixCocycle,
@@ -27,13 +35,11 @@ from supergeo import (
     check_cocycle_loop,
     cotangent_cocycle,
     decomposable_cocycle,
-    det_cocycle,
     fermionic_cocycle,
     frame_signs,
     jacobian,
     normal_form_signs,
     parse,
-    rescale_odd,
     standard_chart,
     substitute,
     sym_restricted_rank,
@@ -126,43 +132,50 @@ def test_builtin_cocycles_frozen():
 
 
 def test_det_cocycle_values():
-    assert det_cocycle(decomposable_cocycle()) == -3
-    assert det_cocycle(cotangent_cocycle()) == -3
-    assert det_cocycle(identity_cocycle()) == 0
+    # build_generic accepts exactly the det twist -3
+    for mc in (decomposable_cocycle(), cotangent_cocycle()):
+        assert check_cocycle_loop(build_generic(mc, 1)).ok
+    with pytest.raises(SuperError) as exc:
+        build_generic(identity_cocycle(), 1)
+    assert str(exc.value) == "matrix cocycle has det twist 0, need -3"
 
 
 def test_det_cocycle_rejects_mismatched_twists():
     mats = decomposable_cocycle().matrices
     mats[(1, 2)] = [[parse("1/z22", T2), parse("0", T2)],
                     [parse("0", T2), parse("1/z22", T2)]]
-    with pytest.raises(SuperError):
-        det_cocycle(MatrixCocycle(mats))
+    with pytest.raises(SuperError, match="det exponents disagree across overlaps"):
+        build_generic(MatrixCocycle(mats), 1)
 
 
 def test_det_cocycle_rejects_non_coboundary_signs():
     mats = decomposable_cocycle().matrices
     mats[(0, 1)] = [[parse("-1/z11", T1), parse("0", T1)],
                     [parse("0", T1), parse("1/z11^2", T1)]]
-    with pytest.raises(SuperError):
-        det_cocycle(MatrixCocycle(mats))
+    with pytest.raises(SuperError, match="are not a coboundary"):
+        build_generic(MatrixCocycle(mats), 1)
 
 
 def test_det_sign_rule_raises_one_message():
+    # the builder and frame_signs, which reads a stored atlas, share the rule
     mats = decomposable_cocycle().matrices
     mats[(0, 1)] = [[parse("-1/z11", T1), parse("0", T1)],
                     [parse("0", T1), parse("1/z11^2", T1)]]
-    mc = MatrixCocycle(mats)
+    atlas = build_decomposable(Fraction(0))
+    f = atlas.map(0, 1)
+    flipped = TransitionMap(f.source, f.target, {**f.assignment, "t10": -f.assignment["t10"]})
+    atlas = Atlas(atlas.charts.values(), {**atlas.maps, (0, 1): flipped})
     want = "det signs {(0, 1): -1, (1, 2): 1, (2, 0): 1} are not a coboundary; no O(k) identification"
-    with pytest.raises(SuperError) as by_det:
-        det_cocycle(mc)
     with pytest.raises(SuperError) as by_build:
-        build_generic(mc, 1)
-    assert str(by_det.value) == str(by_build.value) == want
+        build_generic(MatrixCocycle(mats), 1)
+    with pytest.raises(SuperError) as by_atlas:
+        frame_signs(atlas)
+    assert str(by_build.value) == str(by_atlas.value) == want
 
 
 def test_fermionic_cocycle_round_trip():
     mc = fermionic_cocycle(build_omega1(Fraction(2)))
-    assert det_cocycle(mc) == -3
+    assert atlas_equal(build_generic(mc, 2), build_omega1(Fraction(2)))
     assert mc.matrices[(0, 1)] == cotangent_cocycle().matrices[(0, 1)]
 
 

@@ -4,12 +4,11 @@ Each module may import only the modules before it in LAYERS, and only names
 that those modules define themselves.  The package ``__init__`` re-exports the
 layers and is not one of them; a module may read ``__version__`` from it,
 which it sets before importing any layer.  A public function or class of a
-layer, and a public method of a public class, is one the program runs or the
-README documents.
+layer is one the program runs or the README quick tour imports; a public
+method of a public class is one the program reads.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import supergeo
@@ -144,16 +143,22 @@ def test_checker_sees_an_import_through_a_reexport():
     assert reexported_imports(trees) == ["top.py:1: f is not defined in mid"]
 
 
-def readme_names(readme: str, name: str) -> bool:
-    """Whether the README names `name` in backquotes or as name(."""
-    return f"`{name}`" in readme or re.search(rf"\b{name}\(", readme) is not None
+def quick_tour_names(readme: str) -> set[str]:
+    """Names the README's quick-tour block imports from supergeo."""
+    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    return {
+        alias.name
+        for node in ast.parse(block).body
+        if isinstance(node, ast.ImportFrom) and node.module == "supergeo"
+        for alias in node.names
+    }
 
 
-def unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
-    """Public top-level defs and classes that no layer uses and the README does not name.
+def unused_public_names(trees: dict[str, ast.Module], exempt: set[str]) -> list[str]:
+    """Public top-level defs and classes that no layer uses, other than `exempt`.
 
     A name is used when its own module loads it or another layer imports it by
-    `from .mod import name`; the README names it as `name` or name(.
+    `from .mod import name`.
     """
     imported = {
         (node.module, alias.name)
@@ -169,37 +174,36 @@ def unused_public_names(trees: dict[str, ast.Module], readme: str) -> list[str]:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name.startswith("_") or name in loaded or (module, name) in imported:
-                continue
-            if not readme_names(readme, name):
+            if not (name.startswith("_") or name in loaded or (module, name) in imported or name in exempt):
                 problems.append(f"{module}.{name}")
     return problems
 
 
 def test_every_public_name_is_used_or_documented():
     trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
-    assert unused_public_names(trees, README.read_text()) == []
+    assert unused_public_names(trees, quick_tour_names(README.read_text())) == []
 
 
 def test_checker_sees_an_unused_public_name():
     trees = {
         "low": ast.parse(
-            "def imported():\n    pass\ndef called():\n    pass\ndef shown():\n    pass\n"
-            "def mul():\n    pass\ndef _private():\n    pass\nclass Dead:\n    pass\n"
+            "def imported():\n    pass\ndef called():\n    pass\ndef toured():\n    pass\n"
+            "def mentioned():\n    pass\ndef _private():\n    pass\nclass Dead:\n    pass\n"
             "X = called()\n"
         ),
         "top": ast.parse("from .low import imported\ndef main():\n    return imported()\n"),
     }
-    readme = "Call `shown` or main(); matmul(a, b) does not name mul.\n"
-    assert unused_public_names(trees, readme) == ["low.mul", "low.Dead"]
+    readme = (
+        "Only `mentioned` here, and mentioned().\n\n## Quick tour\n\n```python\n"
+        "from fractions import Fraction\nfrom supergeo import (\n    toured, main,\n)\n"
+        "from supergeo.low import mentioned\n```\n"
+    )
+    assert quick_tour_names(readme) == {"toured", "main"}
+    assert unused_public_names(trees, quick_tour_names(readme)) == ["low.mentioned", "low.Dead"]
 
 
-def unused_public_methods(trees: dict[str, ast.Module], readme: str) -> list[str]:
-    """Public methods of public classes that no layer reads and the README does not name.
-
-    A method is read when any layer loads an attribute of that name; the
-    README names it as `name` or name(.
-    """
+def unused_public_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Public methods of public classes that no layer reads as an attribute."""
     read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     problems = []
     for module, tree in trees.items():
@@ -209,25 +213,23 @@ def unused_public_methods(trees: dict[str, ast.Module], readme: str) -> list[str
             for node in cls.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                name = node.name
-                if not (name.startswith("_") or name in read or readme_names(readme, name)):
-                    problems.append(f"{module}.{cls.name}.{name}")
+                if not (node.name.startswith("_") or node.name in read):
+                    problems.append(f"{module}.{cls.name}.{node.name}")
     return problems
 
 
-def test_every_public_method_is_used_or_documented():
+def test_every_public_method_is_read():
     trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
-    assert unused_public_methods(trees, README.read_text()) == []
+    assert unused_public_methods(trees) == []
 
 
 def test_checker_sees_an_unused_public_method():
     trees = {
         "low": ast.parse(
-            "class Elem:\n    def read(self):\n        pass\n    def shown(self):\n        pass\n"
+            "class Elem:\n    def read(self):\n        pass\n"
             "    def dead(self):\n        pass\n    def _private(self):\n        pass\n"
             "class _Hidden:\n    def dead_too(self):\n        pass\n"
         ),
         "top": ast.parse("from .low import Elem\ndef main(e):\n    return e.read\n"),
     }
-    readme = "Call `shown`; dead_code() does not name dead.\n"
-    assert unused_public_methods(trees, readme) == ["low.Elem.dead"]
+    assert unused_public_methods(trees) == ["low.Elem.dead"]

@@ -22,7 +22,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
-from supergeo.superalg import MAX_EXPONENT, int_digit_limit, printable
+from supergeo.superalg import MAX_DEPTH, MAX_EXPONENT, int_digit_limit, printable
 
 from oracles import add, elem_to_naive, j_degrees, mul, naive_add, naive_mul
 
@@ -461,6 +461,25 @@ def test_parse_exponent_bound():
     for text in ["z^1000001", "z^-1000001", "l^3000000", "w*z^" + "9" * 5000]:
         with pytest.raises(ParseError, match="exceeds the bound 1000000 at position"):
             parse(text, T, {"l": Fraction(3, 2)})
+
+
+def test_parse_nesting_bound():
+    assert MAX_DEPTH == 100
+    d = MAX_DEPTH
+    assert parse("(" * d + "z" + ")" * d, T) == parse("z", T)
+    assert parse("-" * d + "z", T) == parse("z", T)
+    assert parse("(-" * (d // 2) + "z" + ")" * (d // 2), T) == parse("z", T)
+    # the count is of what is open, not of what came before
+    assert parse(" + ".join(["(" * d + "z" + ")" * d] * 3), T) == parse("3*z", T)
+    assert parse(" - ".join(["-" * d + "w"] * 3), T) == parse("-w", T)
+    for text, pos in (
+        ("(" * (d + 1) + "z" + ")" * (d + 1), d),
+        ("(" * 330 + "z" + ")" * 330, d),
+        ("1+" + "-" * 1000 + "z", d + 2),
+        ("(-" * (d // 2) + "-z" + ")" * (d // 2), d),
+    ):
+        with pytest.raises(ParseError, match=f"^nesting deeper than {d} at position {pos}$"):
+            parse(text, T)
 
 
 def test_parse_integer_literal_bound(str_digits):
