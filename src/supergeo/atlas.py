@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .superalg import (
     SuperElem,
@@ -43,6 +44,11 @@ class Chart:
 
 def standard_chart(i: int) -> Chart:
     """Chart i of the 2|2 atlas: evens z1i, z2i and odds t1i, t2i."""
+    return _standard_chart(i)
+
+
+@cache  # one Chart per index, so elements of chart i share one VarTable object
+def _standard_chart(i: int) -> Chart:
     return Chart(i, VarTable(even=(f"z1{i}", f"z2{i}"), odd=(f"t1{i}", f"t2{i}")))
 
 
@@ -51,7 +57,9 @@ def standard_chart(i: int) -> Chart:
 # Chart i is X_i != 0, and its m-th even coordinate z{m}{i} (m = 1, 2) is
 # X_c/X_i with c the m-th index other than i.  Every other fact about the cover
 # (pivots, reduced transitions, the corrected coordinate, normal-form orders)
-# is derived from that rule below.
+# is derived from that rule below.  The cover is fixed, so the helpers that
+# build its elements are memoized per chart index or overlap, filled on first
+# use; the public functions hand out fresh dicts.
 
 CYCLIC = ((0, 1), (1, 2), (2, 0))
 
@@ -89,6 +97,11 @@ def pivot_power(pair: tuple[int, int], n: int) -> SuperElem:
 
 def reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
     """Chart i's even coordinates over chart j: X_c/X_i = (X_c/X_j)/(X_i/X_j)."""
+    return dict(_reduced_transition(pair))
+
+
+@cache
+def _reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
     i, j = pair
     table = standard_chart(j).table
     inv_pivot = pivot_power(pair, -1)
@@ -101,6 +114,11 @@ def reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
 def correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
     """The coordinate X_k/X_i (k the third index) that carries the deformation
     term of overlap (i <- j), and its bilinear t1j*t2j/pivot^2 over chart j."""
+    return _correction(pair)
+
+
+@cache
+def _correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
     i, j = pair
     table = standard_chart(j).table
     t1, t2 = (SuperElem.var(table, n) for n in table.odd)

@@ -55,7 +55,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    hint = ""  # added to a missing-argument error of this (sub)parser
+
     def error(self, message):  # keep exit-code control in run()
+        if self.hint and message.startswith("the following arguments are required"):
+            message = f"{message}; {self.hint}"
         raise UsageError(message)
 
 
@@ -104,10 +108,14 @@ def _get_atlas(args):
         if not path:
             raise UsageError("--matrix-json FILE is required with --family generic")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: not valid JSON: {exc}") from None
         except RecursionError:
             raise UsageError(f"{path}: JSON nested too deeply to read") from None
         matrices = data.get("matrices") if isinstance(data, dict) else None
@@ -343,7 +351,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("parse", _cmd_parse, "canonicalize an expression (grammar round trip)")
-    p.add_argument("expr")
+    p.add_argument("expr", help="expression text; put -- before one that starts with '-'")
+    # argparse reads "-z10" as an unknown option and then misses expr
+    p.hint = "put -- before an expression that starts with '-', as in: supergeo parse -- -z10"
     p.add_argument("--table", choices=sorted(_PARSE_TABLES), default="0")
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
 

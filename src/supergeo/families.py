@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .superalg import SuperElem, SuperError, deriv_even, deriv_odd_left, format_elem, substitute
 from .supermat import SuperMatrix, _mm, berezinian, det_even, standard_form
@@ -213,9 +214,14 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
     return Atlas(charts.values(), maps, notes)
 
 
+@cache  # the cover is fixed: one walk per process, only read
+def _reduced_walk() -> dict[int, dict[str, SuperElem]]:
+    return chart0_walk({pair: reduced_transition(pair) for pair in CYCLIC})
+
+
 def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
     """M_{0<-1} M_{1<-2} M_{2<-0} == identity, read on chart 0 along the reduced walk."""
-    walk = chart0_walk({pair: reduced_transition(pair) for pair in CYCLIC})
+    walk = _reduced_walk()
     table = standard_chart(0).table
     m01, m12 = (
         [[substitute(e, walk[j]) for e in row] for row in mc.matrices[(i, j)]]

@@ -158,7 +158,7 @@ class SuperElem:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other: "SuperElem") -> None:
-        if self.table != other.table:
+        if self.table is not other.table and self.table != other.table:
             raise TableMismatch(f"{self.table.names} vs {other.table.names}")
 
     def __add__(self, other):
@@ -286,24 +286,25 @@ def invert_unit(a: SuperElem) -> SuperElem:
 
     Requires the body (J-degree-0 part) to be a single nonzero Laurent term u.
     Then a = u + n with n nilpotent, and
-        a^{-1} = u^{-1} * sum_j (-n u^{-1})^j,
-    a finite sum because J^{q+1} = 0.
+        a^{-1} = sum_j u^{-1} (-n u^{-1})^j,
+    a finite sum because J^{q+1} = 0.  Without a nilpotent part it is u^{-1}.
     """
     body = [(k, c) for k, c in a.terms.items() if k[1] == 0]
     if len(body) != 1:
         raise NotAUnit(f"body is not a single Laurent term: {format_elem(a)}")
     (exps, _), c = body[0]
     u_inv = _adopt(a.table, {(tuple(-e for e in exps), 0): c**-1})
-    n = a - _adopt(a.table, {(exps, 0): c})
-    out = SuperElem.one(a.table)
-    m = n * u_inv
-    power = SuperElem.one(a.table)
+    if len(a.terms) == 1:
+        return u_inv
+    n = _adopt(a.table, {k: c for k, c in a.terms.items() if k[1]})
+    step = -(n * u_inv)
+    out = power = u_inv
     for _ in range(len(a.table.odd)):
-        power = power * (-m)
+        power = power * step
         if power.is_zero():
             break
         out = out + power
-    return u_inv * out
+    return out
 
 
 def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:

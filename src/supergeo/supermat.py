@@ -31,13 +31,17 @@ def _mm(x: Grid, y: Grid, table: VarTable) -> Grid:
     ry, cy = _grid_shape(y)
     if cx != ry:
         raise SuperError(f"block shapes do not compose: {rx}x{cx} * {ry}x{cy}")
-    out = _zeros(table, rx, cy)
-    for i in range(rx):
+    if cx == 0:
+        return _zeros(table, rx, cy)
+    out = []
+    for row in x:
+        out_row = []
         for j in range(cy):
-            acc = SuperElem.zero(table)
-            for k in range(cx):
-                acc = acc + x[i][k] * y[k][j]
-            out[i][j] = acc
+            acc = row[0] * y[0][j]
+            for k in range(1, cx):
+                acc = acc + row[k] * y[k][j]
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -54,7 +58,8 @@ def _mneg(x: Grid) -> Grid:
 
 
 def det_even(grid: Grid, table: VarTable | None = None) -> SuperElem:
-    """Determinant of a square grid of even elements (Laplace expansion).
+    """Determinant of a square grid of even elements (Laplace expansion; a 2x2
+    grid is ad - bc).
 
     Even elements commute with everything, so this is ordinary commutative
     linear algebra carried out exactly in the algebra.
@@ -73,6 +78,9 @@ def det_even(grid: Grid, table: VarTable | None = None) -> SuperElem:
                 raise SuperError("det_even entry is not even")
     if n == 1:
         return grid[0][0]
+    if n == 2:
+        (a, b), (c, d) = grid
+        return a * d - b * c
     out = SuperElem.zero(table)
     for j in range(n):
         if grid[0][j].is_zero():
@@ -83,17 +91,26 @@ def det_even(grid: Grid, table: VarTable | None = None) -> SuperElem:
     return out
 
 
-def _inv_even(grid: Grid, table: VarTable) -> Grid:
-    """Inverse of a square even block via the adjugate; det must be a unit."""
+def _inv_even(grid: Grid, table: VarTable, det_inv: SuperElem | None = None) -> Grid:
+    """Inverse of a square even block via the adjugate; det must be a unit.
+
+    `det_inv`, when given, is the inverse of det(grid), already computed.
+    """
     n, _ = _grid_shape(grid)
     if n == 0:
         return []
-    det_inv = invert_unit(det_even(grid, table))
+    if det_inv is None:
+        det_inv = invert_unit(det_even(grid, table))
+    if n == 1:
+        return [[det_inv]]
+    if n == 2:
+        (a, b), (c, d) = grid
+        return [[d * det_inv, -b * det_inv], [-c * det_inv, a * det_inv]]
     out = _zeros(table, n, n)
     for i in range(n):
         for j in range(n):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(grid) if k != j]
-            cof = det_even(minor, table) if n > 1 else SuperElem.one(table)
+            cof = det_even(minor, table)
             if (i + j) % 2 == 1:
                 cof = -cof
             out[i][j] = cof * det_inv
@@ -183,24 +200,28 @@ def inverse(x: SuperMatrix) -> SuperMatrix:
     _require_square(x)
     t = x.table
     Dinv = _inv_even(x.D, t)
-    S = _msub(x.A, _mm(_mm(x.B, Dinv, t), x.C, t))
-    Sinv = _inv_even(S, t)
     BDinv = _mm(x.B, Dinv, t)
-    DinvC = _mm(Dinv, x.C, t)
+    S = _msub(x.A, _mm(BDinv, x.C, t))
+    Sinv = _inv_even(S, t)
+    DinvCSinv = _mm(_mm(Dinv, x.C, t), Sinv, t)
     A = Sinv
     B = _mneg(_mm(Sinv, BDinv, t))
-    C = _mneg(_mm(DinvC, Sinv, t))
-    D = _madd(Dinv, _mm(_mm(DinvC, Sinv, t), BDinv, t))
+    C = _mneg(DinvCSinv)
+    D = _madd(Dinv, _mm(DinvCSinv, BDinv, t))
     return SuperMatrix(t, A, B, C, D, check=False)
 
 
 def berezinian(x: SuperMatrix) -> SuperElem:
-    """Ber X = det(A - B D^{-1} C) * det(D)^{-1}; needs det(D) a unit."""
+    """Ber X = det(A - B D^{-1} C) * det(D)^{-1}; needs det(D) a unit.
+
+    det(D) and its inverse are computed once and D^{-1} reuses them.
+    """
     _require_square(x)
     t = x.table
-    Dinv = _inv_even(x.D, t)
+    det_d_inv = invert_unit(det_even(x.D, t))
+    Dinv = _inv_even(x.D, t, det_d_inv)
     S = _msub(x.A, _mm(_mm(x.B, Dinv, t), x.C, t))
-    return det_even(S, t) * invert_unit(det_even(x.D, t))
+    return det_even(S, t) * det_d_inv
 
 
 def standard_form(z: SuperMatrix, pivot: int) -> SuperMatrix:

@@ -363,6 +363,18 @@ def test_generic_family_deeply_nested_json_is_usage_error(tmp_path):
     assert rep["details"]["error"] == f"{path}: JSON nested too deeply to read"
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"matrices": ', "not valid JSON: Expecting value: line 1 column 14 (char 13)"),
+    (b"\xff\xfe{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_generic_family_unreadable_json_names_the_file(tmp_path, content, reason):
+    path = tmp_path / "cocycle.json"
+    path.write_bytes(content)
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", str(path)])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"].startswith(f"{path}: {reason}")
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------
@@ -376,6 +388,20 @@ def test_parse_command():
     assert rep["outcome"] == "value"
     assert rep["details"]["canonical"] == "z11^-2*t11*t21 + z11^-1*z21"
     assert rep["details"]["roundtrip_ok"] is True
+
+
+def test_parse_command_leading_minus_after_double_dash():
+    code, rep = report_of(["parse", "--", "-z10"])
+    assert code == 0
+    assert (rep["details"]["canonical"], rep["details"]["roundtrip_ok"]) == ("-z10", True)
+
+
+def test_parse_command_leading_minus_without_double_dash_says_how():
+    code, rep = report_of(["parse", "-z10"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert "put -- before an expression that starts with '-'" in rep["details"]["error"]
+    code, rep = report_of(["parse", "z10", "--table", "9"])  # other usage errors get no hint
+    assert "put --" not in rep["details"]["error"]
 
 
 def test_parse_command_syntax_error():

@@ -1,6 +1,8 @@
 """The 2|2 atlases over P^2: builders, matrix cocycles, normal forms, rescaling."""
 
 import ast
+import importlib
+import inspect
 import re
 from fractions import Fraction
 from functools import partial
@@ -36,6 +38,7 @@ from supergeo import (
     cotangent_cocycle,
     decomposable_cocycle,
     fermionic_cocycle,
+    format_elem,
     frame_signs,
     jacobian,
     normal_form_signs,
@@ -44,7 +47,10 @@ from supergeo import (
     substitute,
     sym_restricted_rank,
 )
+from supergeo.atlas import reduced_transition
+from supergeo.cli import run
 from test_acceptance import _split_minus_one_twice_atlas
+from test_layering import LAYERS
 
 T0 = standard_chart(0).table
 T1 = standard_chart(1).table
@@ -249,6 +255,71 @@ def test_build_generic_rejects_broken_cocycle():
                     [parse("1/z11^2", T1), parse("0", T1)]]
     with pytest.raises(SuperError, match="violates"):
         build_generic(MatrixCocycle(mats), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# the fixed cover is memoized; what a caller gets stays its own
+# ---------------------------------------------------------------------------
+
+LAYER_MODULES = [importlib.import_module(f"supergeo.{layer}") for layer in LAYERS]
+
+
+def memoized_helpers() -> dict[str, object]:
+    """Every functools-memoized function of the layers, by module.name."""
+    return {
+        f"{module.__name__.split('.')[-1]}.{name}": value
+        for module in LAYER_MODULES
+        for name, value in vars(module).items()
+        if callable(getattr(value, "cache_clear", None))
+    }
+
+
+def clear_memoized_helpers():
+    for helper in memoized_helpers().values():
+        helper.cache_clear()
+
+
+def test_memoized_helpers_are_keyed_by_the_cover_only():
+    # a chart index or a cyclic pair, never lambda, a degree or user text;
+    # the Koszul sign table is keyed by two odd masks of one table
+    helpers = memoized_helpers()
+    assert {name: tuple(inspect.signature(f.__wrapped__).parameters) for name, f in helpers.items()} == {
+        "superalg._mask_sign": ("s", "t"),
+        "atlas._standard_chart": ("i",),
+        "atlas._reduced_transition": ("pair",),
+        "atlas._correction": ("pair",),
+        "families._reduced_walk": (),
+    }
+    for lam in (0, 1, Fraction(3, 2), -7):
+        build_decomposable(lam)
+        build_omega1(lam)
+    run(["parse", "z10^5 + 3/2*t10", "--table", "0"])
+    run(["parse", "z21/z11", "--table", "1"])
+    run(["cohomology", "--n", "2", "--k", "-5", "--q", "2"])
+    sizes = {name: f.cache_info().currsize for name, f in helpers.items() if name != "superalg._mask_sign"}
+    assert max(sizes.values()) <= 3, sizes
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 0)])
+def test_reduced_transition_hands_out_a_fresh_dict(pair):
+    want = {name: format_elem(e) for name, e in reduced_transition(pair).items()}
+    got = reduced_transition(pair)
+    table = standard_chart(pair[1]).table
+    for name in list(got):
+        got[name] = SuperElem.zero(table)
+    got["bogus"] = SuperElem.one(table)
+    assert {name: format_elem(e) for name, e in reduced_transition(pair).items()} == want
+    built = build_generic(decomposable_cocycle(), 1)
+    assert {p: f.assignment for p, f in built.maps.items()} == family_assignments(DECOMPOSABLE, 1)
+
+
+@pytest.mark.parametrize("cocycle", [decomposable_cocycle, cotangent_cocycle])
+def test_build_after_another_lambda_equals_a_fresh_build(cocycle):
+    mc = cocycle()
+    build_generic(mc, 3)
+    after = build_generic(mc, 2)
+    clear_memoized_helpers()
+    assert atlas_equal(after, build_generic(cocycle(), 2))
 
 
 # ---------------------------------------------------------------------------

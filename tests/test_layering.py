@@ -4,11 +4,14 @@ Each module may import only the modules before it in LAYERS, and only names
 that those modules define themselves.  The package ``__init__`` re-exports the
 layers and is not one of them; a module may read ``__version__`` from it,
 which it sets before importing any layer.  A public function or class of a
-layer is one the program runs or the README quick tour imports; a public
-method of a public class is one the program reads.
+layer is one the program runs or the README quick tour imports, and it is a
+plain function; a public method of a public class is one the program reads.
 """
 
 import ast
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import supergeo
@@ -233,3 +236,41 @@ def test_checker_sees_an_unused_public_method():
         "top": ast.parse("from .low import Elem\ndef main(e):\n    return e.read\n"),
     }
     assert unused_public_methods(trees) == ["low.Elem.dead"]
+
+
+def wrapped_public_functions(module: types.ModuleType) -> list[str]:
+    """Public callables a module defines that are not plain functions.
+
+    The benchmark's tracer wraps only plain functions, so a public name that a
+    decorator such as functools.cache turned into another callable would drop
+    out of the per-layer trace; memoize in a private helper instead.
+    """
+    return [
+        f"{module.__name__}.{name}"
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not inspect.isclass(value)
+        and getattr(value, "__module__", None) == module.__name__
+        and not inspect.isfunction(value)
+    ]
+
+
+def test_every_public_function_is_plain():
+    problems = []
+    for layer in LAYERS:
+        problems += wrapped_public_functions(importlib.import_module(f"supergeo.{layer}"))
+    assert problems == []
+
+
+def test_checker_sees_a_cached_public_function():
+    module = types.ModuleType("low")
+    source = (
+        "from functools import cache, partial\n"
+        "@cache\ndef cached(i):\n    return i\n"
+        "def plain(i):\n    return _helper(i)\n"
+        "@cache\ndef _helper(i):\n    return i\n"
+        "class Kind:\n    pass\n"
+    )
+    exec(compile(source, "low.py", "exec"), module.__dict__)
+    assert wrapped_public_functions(module) == ["low.cached"]

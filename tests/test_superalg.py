@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supergeo import (
@@ -345,6 +345,17 @@ def test_property_invert_unit_round_trip(c, e, noise):
     body = SuperElem(T, {(e, 0): c})
     a = body + (noise - noise.body())
     assert mul(a, invert_unit(a)) == SuperElem.one(T)
+
+
+@settings(max_examples=60, deadline=None)
+@example(Fraction(-3, 2), (2, -1))
+@given(coeffs, exps)
+def test_property_invert_unit_without_nilpotent_part(c, e):
+    a = SuperElem(T, {(e, 0): c})
+    inv = invert_unit(a)
+    assert inv.terms == {((-e[0], -e[1]), 0): 1 / c}
+    assert_canonical(inv)
+    assert mul(a, inv) == SuperElem.one(T)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supergeo import (
     SuperElem,
@@ -27,6 +29,48 @@ T = VarTable(("z11", "z21"), ("t11", "t21"))
 
 def E(text, table=T):
     return parse(text, table)
+
+
+# -- strategies over T: masks 0 and 3 are even, 1 and 2 odd, 3 is nilpotent ----
+
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def elems_of(masks, min_size=0):
+    def build(term_list):
+        acc = {}
+        for c, e, m in term_list:
+            acc[(e, m)] = acc.get((e, m), Fraction(0)) + c
+        return SuperElem(T, acc)
+
+    return st.builds(build, st.lists(st.tuples(coeffs, exps, st.sampled_from(masks)), min_size=min_size, max_size=3))
+
+
+even_elems = elems_of([0, 3])
+odd_elems = elems_of([1, 2])
+nilpotent_elems = elems_of([3])
+units = st.builds(lambda c, e, n: SuperElem(T, {(e, 0): c}) + n, coeffs, exps, nilpotent_elems)
+
+
+@st.composite
+def invertible_supermatrices(draw, n):
+    """n|n supermatrices whose even blocks have unit diagonals and a nilpotent
+    lower triangle, so det(A), det(D) and both Schur complements are units."""
+
+    def even_block():
+        return [
+            [draw(units) if i == j else draw(even_elems if i < j else nilpotent_elems) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def odd_block():
+        return [[draw(odd_elems) for _ in range(n)] for _ in range(n)]
+
+    return SuperMatrix(T, even_block(), odd_block(), odd_block(), even_block())
+
+
+supermatrices = st.sampled_from([1, 2]).flatmap(invertible_supermatrices)
 
 
 def diag_matrix(a_texts, d_texts, table=T):
@@ -66,26 +110,27 @@ def test_det_rejects_bad_input():
         det_even([[E("t11")]])
 
 
-def test_det_matches_permutation_expansion():
-    rng = random.Random(20260814)
-    for _ in range(25):
-        n = rng.choice([2, 3])
-        grid = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                terms = {}
-                for _ in range(rng.randrange(3)):
-                    key = ((rng.randint(-2, 2), rng.randint(-2, 2)), rng.choice([0, 3]))
-                    terms[key] = terms.get(key, Fraction(0)) + Fraction(
-                        rng.randint(-3, 3), rng.randint(1, 3)
-                    )
-                row.append(SuperElem(T, terms))
-            grid.append(row)
-        expected = perm_det(grid)
-        if expected is None:
-            expected = SuperElem.zero(T)
-        assert det_even(grid) == expected
+def even_grids(n):
+    return st.lists(st.lists(even_elems, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(even_grids))
+def test_det_matches_permutation_expansion(grid):
+    assert det_even(grid) == perm_det(grid)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    even_grids(2),
+    elems_of([1, 2], min_size=1).filter(lambda x: not x.is_zero()),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+def test_property_det_2x2_refuses_an_odd_entry(grid, odd, i, j):
+    grid[i][j] = odd
+    with pytest.raises(SuperError, match="not even"):
+        det_even(grid)
 
 
 def test_det_multiplicative_on_commuting_grids():
@@ -207,19 +252,16 @@ def test_berezinian_multiplicative():
         assert berezinian(matmul(X, Y)) == berezinian(X) * berezinian(Y)
 
 
-def test_berezinian_of_inverse():
-    rng = random.Random(2718)
-    one = SuperElem.one(TABLE)
-    for _ in range(6):
-        X = random_supermatrix(rng)
-        assert berezinian(X) * berezinian(inverse(X)) == one
+@settings(max_examples=25, deadline=None)
+@given(supermatrices)
+def test_berezinian_of_inverse(X):
+    assert berezinian(X) * berezinian(inverse(X)) == SuperElem.one(T)
 
 
-def test_berezinian_conventions_agree():
-    rng = random.Random(1618)
-    for _ in range(8):
-        X = random_supermatrix(rng)
-        assert berezinian(X) == berezinian_alt(X)
+@settings(max_examples=25, deadline=None)
+@given(supermatrices)
+def test_berezinian_conventions_agree(X):
+    assert berezinian(X) == berezinian_alt(X)
 
 
 # ---------------------------------------------------------------------------
