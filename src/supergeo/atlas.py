@@ -11,7 +11,6 @@ inverts one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -19,6 +18,7 @@ from .superalg import (
     SuperElem,
     SuperError,
     VarTable,
+    _Frozen,
     deriv_even,
     deriv_odd_left,
     format_elem,
@@ -28,10 +28,24 @@ from .superalg import (
 from .supermat import SuperMatrix, berezinian
 
 
-@dataclass(frozen=True)
-class Chart:
-    index: int
-    table: VarTable
+class Chart(_Frozen):
+    """Chart `index` with its variable table; an immutable value like the table."""
+
+    __slots__ = ("index", "table")
+
+    def __init__(self, index: int, table: VarTable):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Chart:
+            return NotImplemented
+        return self.index == other.index and self.table == other.table
+
+    def __hash__(self):
+        return hash((self.index, self.table))
 
     @property
     def even(self) -> tuple[str, ...]:
@@ -224,12 +238,14 @@ class Atlas:
             raise SuperError(f"no transition map {i}<-{j} in atlas") from None
 
 
-@dataclass
 class LoopReport:
     """Result of composing the three cyclic maps back to the start chart."""
 
-    ok: bool
-    residuals: dict[str, SuperElem]
+    __slots__ = ("ok", "residuals")
+
+    def __init__(self, ok: bool, residuals: dict[str, SuperElem]):
+        self.ok = ok
+        self.residuals = residuals
 
     def nonzero(self) -> dict[str, str]:
         return {k: format_elem(v) for k, v in self.residuals.items() if not v.is_zero()}
@@ -264,10 +280,14 @@ def check_cocycle_loop(atlas: Atlas) -> LoopReport:
     return LoopReport(ok=all(v.is_zero() for v in residuals.values()), residuals=residuals)
 
 
-@dataclass
 class CalabiYauReport:
-    ok: bool
-    berezinians: dict[tuple[int, int], SuperElem]
+    """Whether every transition Berezinian is a nonzero constant, and the Berezinians."""
+
+    __slots__ = ("ok", "berezinians")
+
+    def __init__(self, ok: bool, berezinians: dict[tuple[int, int], SuperElem]):
+        self.ok = ok
+        self.berezinians = berezinians
 
     def values(self) -> dict[tuple[int, int], Fraction]:
         return {k: v.constant_value() for k, v in self.berezinians.items()}

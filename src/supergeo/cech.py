@@ -10,7 +10,6 @@ the 3-chart cover, and read the class off the triple overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
@@ -155,17 +154,19 @@ def h1_tangent_bott(n: int, k: int) -> int:
     return bott(2, 1, -k - 3, 1)
 
 
-@dataclass
 class CohClass:
     """An H^q(P^n, O(k)) class on the totally-negative monomial basis."""
 
-    n: int
-    k: int
-    q: int
-    coeffs: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    __slots__ = ("n", "k", "q", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = {m: Fraction(c) for m, c in self.coeffs.items() if c}
+    def __init__(self, n: int, k: int, q: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
+        self.n, self.k, self.q = n, k, q
+        self.coeffs = {m: Fraction(c) for m, c in (coeffs or {}).items() if c}
+
+    def __eq__(self, other):
+        if other.__class__ is not CohClass:
+            return NotImplemented
+        return (self.n, self.k, self.q, self.coeffs) == (other.n, other.k, other.q, other.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -3,14 +3,15 @@
 The reduced manifold is covered by the three standard affine charts; the odd
 structure is a rank-2 bundle given by a 2x2 matrix cocycle M with det matching
 the O(-3) cocycle, and the single even deformation is controlled by an exact
-rational parameter lam.  The two named families are `build_generic` applied
-to built-in cocycles derived from the cover in `atlas`.  Everything here is
-constructed symbolically and then verified by the exact loop composition.
+rational parameter lam.  The two named families take the same two steps as
+`build_generic` (validate the cocycle, assemble the atlas) on built-in
+cocycles derived from the cover in `atlas`, validated once per process.
+Everything here is constructed symbolically and then verified by the exact
+loop composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -48,8 +49,7 @@ def build_decomposable(lam) -> Atlas:
         "odd blocks: diag(1/pivot, 1/pivot^2) with pivots z11, z22, z20",
         "(2<-0) odd denominators use the pivot z20; the z10 variant fails the loop identity",
     )
-    atlas = build_generic(decomposable_cocycle(), lam)
-    return Atlas(atlas.charts.values(), atlas.maps, notes)
+    return _assemble(*_valid_decomposable(), Fraction(lam), notes)
 
 
 def build_omega1(lam) -> Atlas:
@@ -64,20 +64,19 @@ def build_omega1(lam) -> Atlas:
         "constant frame rebasing s = (-1, +1, -1) normalizes det M to +1/pivot^3",
         "(2<-0) first odd denominator of t22 is the pivot z20 (forced by the loop identity)",
     )
-    atlas = build_generic(cotangent_cocycle(), lam)
-    return Atlas(atlas.charts.values(), atlas.maps, notes)
+    return _assemble(*_valid_cotangent(), Fraction(lam), notes)
 
 
 # -- matrix cocycles ----------------------------------------------------------
 
 
-@dataclass
 class MatrixCocycle:
     """2x2 even matrices M_{i<-j} over the source chart, cyclic overlaps."""
 
-    matrices: dict[tuple[int, int], list]
+    __slots__ = ("matrices",)
 
-    def __post_init__(self):
+    def __init__(self, matrices: dict[tuple[int, int], list]):
+        self.matrices = matrices
         if set(self.matrices) != set(CYCLIC):
             raise SuperError(f"matrix cocycle must cover exactly the overlaps {CYCLIC}")
         for pair, grid in self.matrices.items():
@@ -183,20 +182,34 @@ def frame_signs(atlas: Atlas) -> dict[int, int]:
 def build_generic(mc: MatrixCocycle, lam) -> Atlas:
     """Atlas with reduced even part + one deformation term per overlap, odd part M.
 
-    Validates the cocycle invariants first: det must identify with the O(-3)
-    cocycle (twist -3, pivot powers), and M_{0<-1} M_{1<-2} M_{2<-0} must be
-    the identity after substitution into one chart.  The deformation term on
-    overlap (i<-j) is lam * s_j * t1j*t2j / pivot^2 with the frame signs s
-    solved from the det signs (s_1 = +1), added to the corrected coordinate.
+    Validates the cocycle invariants first (`_validate`).  The deformation
+    term on overlap (i<-j) is lam * s_j * t1j*t2j / pivot^2 with the frame
+    signs s solved from the det signs (s_1 = +1), added to the corrected
+    coordinate.
     """
     lam = Fraction(lam)
+    s = _validate(mc)
+    return _assemble(mc, s, lam, (f"generic build: frame signs s = ({s[0]}, {s[1]}, {s[2]})",))
+
+
+def _validate(mc: MatrixCocycle) -> dict[int, int]:
+    """The frame signs s of a valid cocycle; raises SuperError otherwise.
+
+    det must identify with the O(-3) cocycle (twist -3, pivot powers), and
+    M_{0<-1} M_{1<-2} M_{2<-0} must be the identity after substitution into
+    one chart.
+    """
     powers = _det_powers(mc)
     twist = _det_twist(powers)
     s = _frame_signs(powers)
     if twist != -3:
         raise SuperError(f"matrix cocycle has det twist {twist}, need -3")
     _check_matrix_cocycle(mc)
+    return s
 
+
+def _assemble(mc: MatrixCocycle, s: dict[int, int], lam: Fraction, notes: tuple[str, ...]) -> Atlas:
+    """The atlas of a validated cocycle mc with frame signs s, at parameter lam."""
     charts = _charts()
     maps = {}
     for pair in CYCLIC:
@@ -210,8 +223,23 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
         assignment[tgt.table.odd[0]] = M[0][0] * t1s + M[0][1] * t2s
         assignment[tgt.table.odd[1]] = M[1][0] * t1s + M[1][1] * t2s
         maps[pair] = TransitionMap(src, tgt, assignment)
-    notes = (f"generic build: frame signs s = ({s[0]}, {s[1]}, {s[2]})",)
     return Atlas(charts.values(), maps, notes)
+
+
+# The built-in cocycles are fixed, so each is validated once per process; the
+# cached cocycle is only read, and the public constructors hand out fresh ones.
+
+
+@cache
+def _valid_decomposable() -> tuple[MatrixCocycle, dict[int, int]]:
+    mc = decomposable_cocycle()
+    return mc, _validate(mc)
+
+
+@cache
+def _valid_cotangent() -> tuple[MatrixCocycle, dict[int, int]]:
+    mc = cotangent_cocycle()
+    return mc, _validate(mc)
 
 
 @cache  # the cover is fixed: one walk per process, only read
@@ -263,8 +291,16 @@ def build_pi_plane() -> Atlas:
 
     For the pair (i <- j) the chart-j cell is put in standard form on pivot
     column i; the reduced even row then contains the chart-i coordinates
-    expressed over chart j, which is exactly the transition assignment.
+    expressed over chart j, which is exactly the transition assignment.  The
+    reduction runs once per process; each call hands out fresh maps.
     """
+    atlas = _pi_plane()
+    maps = {pair: TransitionMap(f.source, f.target, f.assignment) for pair, f in atlas.maps.items()}
+    return Atlas(atlas.charts.values(), maps, atlas.notes)
+
+
+@cache  # the Pi-plane is fixed: one reduction per process, only read
+def _pi_plane() -> Atlas:
     charts = _charts()
     maps = {}
     for i, j in CYCLIC:
@@ -310,7 +346,7 @@ def sym_restricted_rank(k: int) -> tuple[int, int]:
     and odd k + k = 2k (summands with negative symmetric degree vanish).
     """
     if k < 1:
-        raise SuperError(f"sym_restricted_rank needs k >= 1, got {k}")
+        raise ValueError(f"sym_restricted_rank needs k >= 1, got {k}")
     even = (k + 1) + (k - 1)
     odd = 2 * k
     return (even, odd)

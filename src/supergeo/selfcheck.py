@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .superalg import (
@@ -100,11 +99,15 @@ def random_supermatrix(rng: random.Random) -> SuperMatrix:
     return SuperMatrix(TABLE, even_block(), odd_block(), odd_block(), even_block())
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    cases: int
-    failures: list = field(default_factory=list)
+    """One property's case count and its first few failures."""
+
+    __slots__ = ("name", "cases", "failures")
+
+    def __init__(self, name: str, cases: int, failures: list | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -14,11 +14,10 @@ No floats are used anywhere.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import add as _add_exps
-from typing import Mapping
 
 
 class SuperError(ValueError):
@@ -37,21 +36,51 @@ class ParseError(SuperError):
     """Malformed expression text."""
 
 
-@dataclass(frozen=True)
-class VarTable:
+class _Frozen:
+    """Base of the value classes whose fields are set once, in __init__.
+
+    A subclass lists its fields in `__slots__` in the order its `__init__`
+    takes them, which is how copy and pickle rebuild it.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class VarTable(_Frozen):
     """Ordered even and odd variable names of one coordinate system.
 
     The order is significant: it fixes exponent-vector positions, the odd-mask
-    bit positions, and later the row/column order of Jacobians.
+    bit positions, and later the row/column order of Jacobians.  Tables are
+    immutable values: equal and hash-equal when their names agree.
     """
 
-    even: tuple[str, ...]
-    odd: tuple[str, ...]
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        names = list(self.even) + list(self.odd)
+    def __init__(self, even: tuple[str, ...], odd: tuple[str, ...]):
+        names = list(even) + list(odd)
         if len(set(names)) != len(names):
             raise SuperError(f"duplicate variable names in table: {names}")
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
+
+    def __eq__(self, other):
+        if self is other:  # elements of one chart share one table object
+            return True
+        if other.__class__ is not VarTable:
+            return NotImplemented
+        return self.even == other.even and self.odd == other.odd
+
+    def __hash__(self):
+        return hash((self.even, self.odd))
 
     def even_index(self, name: str) -> int:
         return self.even.index(name)

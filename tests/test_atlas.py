@@ -1,14 +1,18 @@
 """Charts, transition maps, cocycle loops, the chart-0 walk, Jacobians."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from supergeo import (
     Atlas,
+    Chart,
     SuperElem,
     SuperError,
     TransitionMap,
+    VarTable,
     chart0_walk,
     check_cocycle_loop,
     compose,
@@ -39,6 +43,29 @@ def test_standard_chart_names():
     assert c.table.even == ("z11", "z21")
     assert c.table.odd == ("t11", "t21")
     assert c.index == 1
+
+
+def test_chart_is_an_immutable_value():
+    c = standard_chart(1)
+    same = Chart(1, VarTable(("z11", "z21"), ("t11", "t21")))
+    assert same is not c and same == c and hash(same) == hash(c)
+    assert {c: 1}[same] == 1
+    assert c != Chart(2, c.table) and c != Chart(1, standard_chart(2).table)
+    assert c != (1, c.table)
+    with pytest.raises(AttributeError):
+        c.index = 2
+    with pytest.raises(AttributeError):
+        c.table = standard_chart(2).table
+    with pytest.raises(AttributeError):
+        del c.table
+    with pytest.raises(SuperError):
+        Chart(1, VarTable(("z11", "z11"), ("t11", "t21")))
+    atlas = build_omega1(Fraction(3, 2))
+    twin = pickle.loads(pickle.dumps(atlas))
+    assert twin.charts == atlas.charts
+    assert {k: f.assignment for k, f in copy.deepcopy(atlas).maps.items()} == {
+        k: f.assignment for k, f in atlas.maps.items()
+    } == {k: f.assignment for k, f in twin.maps.items()}
 
 
 # ---------------------------------------------------------------------------

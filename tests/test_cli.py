@@ -124,8 +124,8 @@ def test_sym_rank():
     code, rep = report_of(["sym-rank", "--k", "3"])
     assert code == 0
     assert rep["details"] == {"k": 3, "even": 6, "odd": 6}
-    code, _ = report_of(["sym-rank", "--k", "0"])
-    assert code == 1
+    code, rep = report_of(["sym-rank", "--k", "0"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,9 @@ def test_memoized_helpers_are_keyed_by_the_cover_only():
         "atlas._reduced_transition": ("pair",),
         "atlas._correction": ("pair",),
         "families._reduced_walk": (),
+        "families._valid_decomposable": (),
+        "families._valid_cotangent": (),
+        "families._pi_plane": (),
     }
     for lam in (0, 1, Fraction(3, 2), -7):
         build_decomposable(lam)
@@ -311,6 +314,32 @@ def test_reduced_transition_hands_out_a_fresh_dict(pair):
     assert {name: format_elem(e) for name, e in reduced_transition(pair).items()} == want
     built = build_generic(decomposable_cocycle(), 1)
     assert {p: f.assignment for p, f in built.maps.items()} == family_assignments(DECOMPOSABLE, 1)
+
+
+def test_build_pi_plane_hands_out_fresh_maps():
+    got = build_pi_plane()
+    for f in got.maps.values():
+        for name in list(f.assignment):
+            f.assignment[name] = SuperElem.zero(f.source.table)
+        f.assignment["bogus"] = SuperElem.one(f.source.table)
+    got.maps.clear()
+    assert {p: f.assignment for p, f in build_pi_plane().maps.items()} == family_assignments(OMEGA1, 1)
+    code, report = run(["pi-plane-compare"])
+    assert (code, report["details"]["equal"]) == (0, True)
+
+
+@pytest.mark.parametrize(
+    ("cocycle", "builder", "strings"),
+    [(decomposable_cocycle, build_decomposable, DECOMPOSABLE), (cotangent_cocycle, build_omega1, OMEGA1)],
+)
+def test_builtin_cocycle_is_handed_out_fresh(cocycle, builder, strings):
+    builder(2)  # validates and caches the built-in cocycle
+    got = cocycle()
+    for grid in got.matrices.values():
+        for row in grid:
+            row[:] = [e * 5 for e in row]
+    assert got.matrices != cocycle().matrices
+    assert {p: f.assignment for p, f in builder(2).maps.items()} == family_assignments(strings, 2)
 
 
 @pytest.mark.parametrize("cocycle", [decomposable_cocycle, cotangent_cocycle])
@@ -480,10 +509,10 @@ def test_third_overlap_with_z10_denominators_breaks_the_loop():
 def test_sym_restricted_rank():
     for k in range(1, 8):
         assert sym_restricted_rank(k) == (2 * k, 2 * k)
-    with pytest.raises(SuperError):
-        sym_restricted_rank(0)
-    with pytest.raises(SuperError):
-        sym_restricted_rank(-2)
+    for k in (0, -2):  # bad input, not a failed verification
+        with pytest.raises(ValueError) as exc:
+            sym_restricted_rank(k)
+        assert not isinstance(exc.value, SuperError)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ plain function; a public method of a public class is one the program reads.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -274,3 +277,22 @@ def test_checker_sees_a_cached_public_function():
     )
     exec(compile(source, "low.py", "exec"), module.__dict__)
     assert wrapped_public_functions(module) == ["low.cached"]
+
+
+# Standard modules that `import supergeo.cli` must not load: dataclasses pulls
+# in inspect, ast, dis and tokenize, and each costs the CLI start-up time.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import supergeo.cli, sys; print(sorted(sys.modules))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "supergeo.cli" in loaded
+    assert sorted(loaded & set(SLOW_IMPORTS)) == []

@@ -1,5 +1,7 @@
 """Core algebra: canonical forms, Koszul signs, inversion, substitution."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -39,12 +41,30 @@ def E(text, **bindings):
 
 
 def test_var_table_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(SuperError):
         VarTable(("z", "z"), ("t1",))
-    with pytest.raises(ValueError):
+    with pytest.raises(SuperError):
         VarTable(("z",), ("t1", "t1"))
-    with pytest.raises(ValueError):
+    with pytest.raises(SuperError):
         VarTable(("z",), ("z",))
+
+
+def test_var_table_is_an_immutable_value():
+    same = VarTable(even=("z", "w"), odd=("t1", "t2"))
+    assert same is not T and same == T and hash(same) == hash(T)
+    assert {T: 1}[same] == 1
+    assert T != VarTable(("w", "z"), ("t1", "t2"))
+    assert T != VarTable(("z", "w"), ("t1",))
+    assert T != (("z", "w"), ("t1", "t2"))
+    with pytest.raises(AttributeError):
+        T.even = ("x",)
+    with pytest.raises(AttributeError):
+        T.extra = 1
+    with pytest.raises(AttributeError):
+        del T.odd
+    assert T.names == ("z", "w", "t1", "t2")
+    for twin in (copy.copy(T), copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+        assert twin == T and twin.names == T.names
 
 
 def test_zero_one_const():
