@@ -33,9 +33,7 @@ from .atlas import (
     TransitionMap,
     chart0_walk,
     check_cocycle_loop,
-    compose,
     even_remainder_derivation,
-    identity_map,
     is_calabi_yau,
     jacobian,
     standard_chart,

@@ -5,8 +5,8 @@ stores one algebra element per target coordinate, written over the source
 variables.  Composition is substitution, and the Jacobian uses left
 derivatives with rows ordered by target coordinates (evens first) and columns
 by source coordinates in the same way.  Readings on chart 0 go through
-`chart0_walk`, which substitutes the stored cyclic maps forward and never
-inverts one.
+`Atlas.walk`, which substitutes the stored cyclic maps forward and never
+inverts one, and loops of matrices through one ordered `cycle_product`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .superalg import (
     substitute,
     truncate_J,
 )
-from .supermat import SuperMatrix, berezinian
+from .supermat import SuperMatrix, _mm, berezinian
 
 
 class Chart(_Frozen):
@@ -76,20 +76,21 @@ def _standard_chart(i: int) -> Chart:
 # use; the public functions hand out fresh dicts.
 
 CYCLIC = ((0, 1), (1, 2), (2, 0))
+CHARTS = tuple(i for i, _ in CYCLIC)  # the chart indices, in the order the cycle visits them
 
 # The homogeneous coordinates X0, X1, X2 of P^2, as Laurent variables.
-HOM = VarTable(even=("X0", "X1", "X2"), odd=())
+HOM = VarTable(even=tuple(f"X{c}" for c in CHARTS), odd=())
 
 
 def affine_indices(i: int) -> tuple[int, ...]:
     """The indices c of chart i's even coordinates X_c/X_i, in chart order."""
-    return tuple(c for c in range(3) if c != i)
+    return tuple(c for c in CHARTS if c != i)
 
 
 # AFFINE[(i, name)] = c for the even coordinate name = X_c/X_i of chart i.
 AFFINE = {
     (i, name): c
-    for i in range(3)
+    for i in CHARTS
     for name, c in zip(standard_chart(i).even, affine_indices(i))
 }
 _NAME = {(i, c): name for (i, name), c in AFFINE.items()}
@@ -136,14 +137,14 @@ def _correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
     i, j = pair
     table = standard_chart(j).table
     t1, t2 = (SuperElem.var(table, n) for n in table.odd)
-    return _NAME[(i, 3 - i - j)], t1 * t2 * pivot_power(pair, -2)
+    return normal_form_orders(pair)[0][1], t1 * t2 * pivot_power(pair, -2)
 
 
 def normal_form_orders(pair: tuple[int, int]) -> tuple[tuple[str, str], tuple[str, str]]:
     """Even orders of the per-overlap theorem: target (1/pivot, corrected) and
     source (pivot, X_k/X_j)."""
     i, j = pair
-    k = 3 - i - j
+    (k,) = (c for c in affine_indices(i) if c != j)  # the third index
     return (_NAME[(i, j)], _NAME[(i, k)]), (pivot(pair), _NAME[(j, k)])
 
 
@@ -180,21 +181,6 @@ class TransitionMap:
     def __repr__(self):
         rows = [f"{k} = {format_elem(v)}" for k, v in sorted(self.assignment.items())]
         return f"TransitionMap({self.target.index}<-{self.source.index}: " + "; ".join(rows) + ")"
-
-
-def identity_map(chart: Chart) -> TransitionMap:
-    assignment = {name: SuperElem.var(chart.table, name) for name in chart.table.names}
-    return TransitionMap(chart, chart, assignment)
-
-
-def compose(f: TransitionMap, g: TransitionMap) -> TransitionMap:
-    """(f o g): target(f) <- source(g); requires source(f) == target(g)."""
-    if f.source != g.target:
-        raise SuperError(
-            f"cannot compose: f has source chart {f.source.index}, g targets {g.target.index}"
-        )
-    assignment = {name: substitute(elem, g.assignment) for name, elem in f.assignment.items()}
-    return TransitionMap(g.source, f.target, assignment)
 
 
 def jacobian(f: TransitionMap) -> SuperMatrix:
@@ -237,6 +223,10 @@ class Atlas:
         except KeyError:
             raise SuperError(f"no transition map {i}<-{j} in atlas") from None
 
+    def walk(self) -> dict[int, dict[str, SuperElem]]:
+        """Every chart's coordinates over chart 0: `chart0_walk` of the stored cyclic maps."""
+        return chart0_walk({pair: self.map(*pair).assignment for pair in CYCLIC})
+
 
 class LoopReport:
     """Result of composing the three cyclic maps back to the start chart."""
@@ -272,9 +262,25 @@ def chart0_walk(
     return walk
 
 
+@cache  # the cover is fixed: one walk of its reduced transitions per process, only read
+def _reduced_walk() -> dict[int, dict[str, SuperElem]]:
+    return chart0_walk({pair: _reduced_transition(pair) for pair in CYCLIC})
+
+
+def cycle_product(walk: dict[int, dict[str, SuperElem]], grids: dict[tuple[int, int], list]) -> list:
+    """The product (0<-1)(1<-2)(2<-0) of square even grids, one per CYCLIC
+    overlap, read on chart 0: `grids[(i, j)]` is written over chart j and read
+    through `walk[j]`, but chart 0's own as it stands (`walk[0]` is the loop)."""
+    product = None
+    for i, j in CYCLIC:
+        grid = grids[(i, j)] if j == 0 else [[substitute(e, walk[j]) for e in row] for row in grids[(i, j)]]
+        product = grid if product is None else _mm(product, grid, standard_chart(0).table)
+    return product
+
+
 def check_cocycle_loop(atlas: Atlas) -> LoopReport:
     """Walk (0<-1)(1<-2)(2<-0) round to chart 0 and report per-coordinate residuals."""
-    loop = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})[0]
+    loop = atlas.walk()[0]
     table = atlas.charts[0].table
     residuals = {name: loop[name] - SuperElem.var(table, name) for name in table.names}
     return LoopReport(ok=all(v.is_zero() for v in residuals.values()), residuals=residuals)

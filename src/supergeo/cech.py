@@ -16,18 +16,15 @@ from math import comb, factorial, prod
 from operator import sub
 
 from . import families
-from .superalg import SuperElem, SuperError, format_elem, int_digit_limit, printable, substitute
+from .superalg import SuperElem, SuperError, deriv_even, format_elem, int_digit_limit, printable, substitute
 from .atlas import (
     AFFINE,
     CYCLIC,
     HOM,
     Atlas,
     affine_indices,
-    chart0_walk,
-    compose,
+    cycle_product,
     even_remainder_derivation,
-    identity_map,
-    jacobian,
     pivot,
     standard_chart,
 )
@@ -238,10 +235,10 @@ def picard_delta(atlas: Atlas, lifts: dict[tuple[int, int], SuperElem] | None = 
     """Connecting map of the even-units exponential: lift, multiply, read off.
 
     `lifts` assigns an invertible even function over the source chart to each
-    cyclic overlap (default: the O(1) cocycle lift).  All three are pulled
-    back to chart 0 along the chart-0 walk and multiplied; the product must be
-    1 mod J (i.e. the reductions really form a cocycle), and the J-degree-2
-    remainder is the class in H^2(O(-3)).
+    cyclic overlap (default: the O(1) cocycle lift).  Their `cycle_product`,
+    as 1x1 grids read on chart 0 along the atlas walk, must be 1 mod J (i.e.
+    the reductions really form a cocycle), and the J-degree-2 remainder is the
+    class in H^2(O(-3)).
     """
     if lifts is None:
         lifts = default_picard_lift(atlas)
@@ -258,11 +255,7 @@ def picard_delta(atlas: Atlas, lifts: dict[tuple[int, int], SuperElem] | None = 
         if lifts[pair].table != atlas.charts[pair[1]].table:
             raise SuperError(f"lift on {pair} must be written over chart {pair[1]}")
 
-    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
-    product = SuperElem.one(atlas.charts[0].table)
-    for i, j in CYCLIC:
-        lift = lifts[(i, j)]
-        product = product * (lift if j == 0 else substitute(lift, walk[j]))
+    ((product,),) = cycle_product(atlas.walk(), {pair: [[lifts[pair]]] for pair in CYCLIC})
     remainder = product - SuperElem.one(product.table)
     if not remainder.body().is_zero():
         raise SuperError(
@@ -283,17 +276,17 @@ def obstruction_delta(atlas: Atlas) -> CohClass:
     frame_signs = families.frame_signs(atlas)
     x = [SuperElem.var(HOM, name) for name in HOM.even]
     # components[c]: the homogeneous coefficient of d/dX_c
-    components = [SuperElem.zero(HOM) for _ in range(3)]
+    components = [SuperElem.zero(HOM) for _ in x]
     for i, j in CYCLIC:
         for name, coeff in even_remainder_derivation(atlas.map(i, j)).items():
             if not coeff.is_zero():
                 c = AFFINE[(i, name)]
                 components[c] = components[c] + x[i] * _homogenize(coeff, j, frame_signs[j])
     # f * (Euler field) = sum_c f X_c d/dX_c: every component divided by its X_c is f
-    f0, f1, f2 = (comp / x[c] for c, comp in enumerate(components))
-    if not f0 == f1 == f2:
+    f = [comp / x[c] for c, comp in enumerate(components)]
+    if any(fc != f[0] for fc in f):
         raise SuperError("obstruction lift is not a multiple of the Euler field")
-    return _top_class(-3, f0)
+    return _top_class(-3, f[0])
 
 
 def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
@@ -301,27 +294,29 @@ def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
 
     Each overlap (i <- j) contributes the derivation with the J-degree-2 even
     remainders as coefficients (over chart j) on the chart-i coordinate
-    fields.  The coefficients are pulled back to chart 0 along the chart-0
-    walk; the chart-i fields are pushed through the (0 <- i) map (the
-    identity, f01 or f01 o f12), whose Jacobian entries are pulled back the
-    same way.  The sum of a true cocycle is the zero derivation.
+    fields.  Coefficients are read on chart 0 along the atlas walk.  A field
+    d/dz of chart i is pushed to chart 0 as d/dz of chart 0's coordinates over
+    chart i, (0<-1) over chart 1 and (0<-1)(1<-2) over chart 2, differentiated
+    only in the fields that carry a coefficient and read along the walk too.
+    The sum of a true cocycle is the zero derivation.
     """
-    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
-    f01 = atlas.map(0, 1)
-    to0 = {0: identity_map(atlas.charts[0]), 1: f01, 2: compose(f01, atlas.map(1, 2))}
+    walk = atlas.walk()
     table = atlas.charts[0].table
+    to0: dict[int, dict[str, SuperElem]] = {}  # chart 0's coordinates over the other charts
+    for i, j in CYCLIC[:-1]:
+        step = atlas.map(i, j).assignment
+        to0[j] = {name: substitute(e, step) for name, e in to0[i].items()} if i in to0 else step
     total = {name: SuperElem.zero(table) for name in table.names}
     for i, j in CYCLIC:
-        fields = {
-            name: c if j == 0 else substitute(c, walk[j])
-            for name, c in even_remainder_derivation(atlas.map(i, j)).items()
-            if not c.is_zero()
-        }
-        jac = jacobian(to0[i]).grid()
-        for m, sname in enumerate(to0[i].source.table.names):
-            if sname not in fields:
+        for sname, coeff in even_remainder_derivation(atlas.map(i, j)).items():
+            if coeff.is_zero():
                 continue
-            for l, tname in enumerate(table.names):
-                if not jac[l][m].is_zero():
-                    total[tname] = total[tname] + substitute(jac[l][m], walk[i]) * fields[sname]
+            field = substitute(coeff, walk[j]) if j in to0 else coeff  # chart 0's own as it stands
+            if i not in to0:  # a field of chart 0 itself
+                total[sname] = total[sname] + field
+                continue
+            for tname, coord in to0[i].items():
+                d = deriv_even(coord, sname)
+                if not d.is_zero():
+                    total[tname] = total[tname] + substitute(d, walk[i]) * field
     return total

@@ -16,6 +16,7 @@ from fractions import _RATIONAL_FORMAT, Fraction
 from . import __version__
 from .superalg import SuperError, format_elem, int_digit_limit, parse, printable, truncate_J
 from .atlas import (
+    CHARTS,
     CYCLIC,
     HOM,
     check_cocycle_loop,
@@ -269,7 +270,7 @@ def _cmd_sym_rank(args):
     return "value", {"k": args.k, "even": even, "odd": odd}
 
 
-_PARSE_TABLES = {**{str(i): standard_chart(i).table for i in range(3)}, "hom": HOM}
+_PARSE_TABLES = {**{str(i): standard_chart(i).table for i in CHARTS}, "hom": HOM}
 
 
 def _cmd_parse(args):
@@ -393,7 +394,11 @@ def run(argv) -> tuple[int, dict]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     code, report = run(argv)
-    if "--json" in argv:
+    if "command" in report:  # argv parsed: follow the parsed flag, abbreviated or not
+        as_json = _build_parser().parse_args(argv).json
+    else:  # look for the flag among the options, before any "--"
+        as_json = "--json" in (argv[: argv.index("--")] if "--" in argv else argv)
+    if as_json:
         print(json.dumps(report, sort_keys=True))
     else:
         _print_text(report, file=sys.stderr if code == 2 else sys.stdout)

@@ -15,16 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .superalg import SuperElem, SuperError, deriv_even, deriv_odd_left, format_elem, substitute
-from .supermat import SuperMatrix, _mm, berezinian, det_even, standard_form
+from .superalg import SuperElem, SuperError, deriv_even, deriv_odd_left, format_elem
+from .supermat import SuperMatrix, berezinian, det_even, standard_form
 from .atlas import (
+    CHARTS,
     CYCLIC,
     Atlas,
     Chart,
     TransitionMap,
+    _reduced_walk,
     affine_indices,
-    chart0_walk,
     correction,
+    cycle_product,
     jacobian,
     normal_form_orders,
     pivot,
@@ -35,7 +37,7 @@ from .atlas import (
 
 
 def _charts() -> dict[int, Chart]:
-    return {i: standard_chart(i) for i in range(3)}
+    return {i: standard_chart(i) for i in CHARTS}
 
 
 def build_decomposable(lam) -> Atlas:
@@ -189,7 +191,7 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
     """
     lam = Fraction(lam)
     s = _validate(mc)
-    return _assemble(mc, s, lam, (f"generic build: frame signs s = ({s[0]}, {s[1]}, {s[2]})",))
+    return _assemble(mc, s, lam, (f"generic build: frame signs s = ({', '.join(str(s[i]) for i in CHARTS)})",))
 
 
 def _validate(mc: MatrixCocycle) -> dict[int, int]:
@@ -242,28 +244,16 @@ def _valid_cotangent() -> tuple[MatrixCocycle, dict[int, int]]:
     return mc, _validate(mc)
 
 
-@cache  # the cover is fixed: one walk per process, only read
-def _reduced_walk() -> dict[int, dict[str, SuperElem]]:
-    return chart0_walk({pair: reduced_transition(pair) for pair in CYCLIC})
-
-
 def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
     """M_{0<-1} M_{1<-2} M_{2<-0} == identity, read on chart 0 along the reduced walk."""
-    walk = _reduced_walk()
-    table = standard_chart(0).table
-    m01, m12 = (
-        [[substitute(e, walk[j]) for e in row] for row in mc.matrices[(i, j)]]
-        for i, j in ((0, 1), (1, 2))
-    )
-    prod = _mm(_mm(m01, m12, table), mc.matrices[(2, 0)], table)
-    ident = [[SuperElem.one(table), SuperElem.zero(table)], [SuperElem.zero(table), SuperElem.one(table)]]
-    if prod != ident:
-        bad = [
-            f"[{a}][{b}] = {format_elem(prod[a][b])}"
-            for a in range(2)
-            for b in range(2)
-            if prod[a][b] != ident[a][b]
-        ]
+    prod = cycle_product(_reduced_walk(), mc.matrices)
+    bad = [
+        f"[{a}][{b}] = {format_elem(entry)}"
+        for a, row in enumerate(prod)
+        for b, entry in enumerate(row)
+        if entry != int(a == b)
+    ]
+    if bad:
         raise SuperError("matrix cocycle violates M01*M12*M20 = 1: " + "; ".join(bad))
 
 
@@ -279,7 +269,7 @@ def big_cell(i: int) -> SuperMatrix:
     c = standard_chart(i)
     t = c.table
     one, zero = SuperElem.one(t), SuperElem.zero(t)
-    even_row, odd_row = [zero] * 3, [zero] * 3
+    even_row, odd_row = [zero] * len(CHARTS), [zero] * len(CHARTS)
     even_row[i] = one
     for col, z, theta in zip(affine_indices(i), t.even, t.odd):
         even_row[col], odd_row[col] = SuperElem.var(t, z), SuperElem.var(t, theta)
@@ -315,7 +305,7 @@ def _pi_plane() -> Atlas:
             tgt.table.odd[1]: reduced.B[0][others[1]],
         }
         # Pi-symmetry of the reduced cell: the odd row must mirror the even row.
-        for col in range(3):
+        for col in CHARTS:
             if reduced.D[0][col] != reduced.A[0][col] or reduced.C[0][col] != -reduced.B[0][col]:
                 raise SuperError(f"reduced big cell lost Pi-symmetry at column {col}")
         maps[(i, j)] = TransitionMap(src, tgt, assignment)

@@ -194,16 +194,7 @@ class SuperElem:
         other = _coerce(self.table, other)
         self._check(other)
         terms = dict(self.terms)
-        for k, c in other.terms.items():
-            old = terms.get(k)
-            if old is None:
-                terms[k] = c
-                continue
-            s = old + c
-            if s:
-                terms[k] = s
-            else:
-                del terms[k]
+        _add_into(terms, other.terms)
         return _adopt(self.table, terms)
 
     __radd__ = __add__
@@ -299,6 +290,21 @@ def _adopt(table: VarTable, terms: dict[Key, Fraction]) -> SuperElem:
     return out
 
 
+def _add_into(acc: dict[Key, Fraction], terms: Mapping[Key, Fraction]) -> None:
+    """acc += terms in place, dropping keys that cancel: a sum built this way
+    takes time linear in its terms, where a chain of `+` copies it each step."""
+    for k, c in terms.items():
+        old = acc.get(k)
+        if old is None:
+            acc[k] = c
+            continue
+        s = old + c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
 def _coerce(table: VarTable, x) -> SuperElem:
     if isinstance(x, SuperElem):
         return x
@@ -378,7 +384,7 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
             pow_cache[(name, e)] = got
         return got
 
-    out = SuperElem.zero(target)
+    out: dict[Key, Fraction] = {}
     for (exps, mask), c in a.terms.items():
         term = SuperElem.const(target, c)
         for i, e in enumerate(exps):
@@ -398,8 +404,8 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
             term = term * images[name]
             if term.is_zero():
                 break
-        out = out + term
-    return out
+        _add_into(out, term.terms)
+    return _adopt(target, out)
 
 
 def deriv_even(a: SuperElem, name: str) -> SuperElem:
@@ -488,9 +494,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII digits only: str.isdigit() also holds for "²" and "٣"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -530,12 +536,12 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> SuperElem:
-        out = self.parse_term()
+        out = dict(self.parse_term().terms)
         while self.peek()[0] in "+-":
             op = self.next()[0]
             rhs = self.parse_term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            _add_into(out, (rhs if op == "+" else -rhs).terms)
+        return _adopt(self.table, out)
 
     def parse_term(self) -> SuperElem:
         out = self.parse_factor()

@@ -14,8 +14,10 @@ functions ``add``/``mul``, the former methods ``j_degrees``,
 ``identity_matrix`` and ``from_grid``, the second Berezinian convention
 ``berezinian_alt``, exact map inversion ``invert_map``, the
 ``identity_cocycle``, ``normal_form_map``, which recomposes an overlap map in
-the adapted frames, the graded chain rule ``compose_jacobians``, and the odd
-rescaling ``rescale_odd``.
+the adapted frames, the graded chain rule ``compose_jacobians``, the odd
+rescaling ``rescale_odd``, map composition ``compose`` with ``identity_map``,
+and ``omega_cocycle_sum_composed``, the omega-cocycle sum pushed through the
+full Jacobians of the composed maps to chart 0.
 It imports what it needs from ``supergeo.superalg``, ``supergeo.supermat``
 (including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub``,
 ``_require_square`` and ``_zeros``), ``supergeo.atlas`` and ``supergeo.families``.
@@ -32,8 +34,8 @@ from supergeo.atlas import (
     Atlas,
     Chart,
     TransitionMap,
-    compose,
-    identity_map,
+    chart0_walk,
+    even_remainder_derivation,
     jacobian,
     normal_form_orders,
     standard_chart,
@@ -228,7 +230,55 @@ def family_assignments(strings, lam):
 # twist 0 control; `normal_form_map` is the independent check on
 # `normal_form_signs`; `compose_jacobians` is the reference for the graded
 # chain rule; `rescale_odd` makes metamorphic cases (the deformation moves by
-# 1/c^2).
+# 1/c^2); `omega_cocycle_sum_composed` is the reference for
+# `omega_cocycle_sum`, which differentiates only the fields that carry a
+# coefficient.
+
+
+def identity_map(chart: Chart) -> TransitionMap:
+    assignment = {name: SuperElem.var(chart.table, name) for name in chart.table.names}
+    return TransitionMap(chart, chart, assignment)
+
+
+def compose(f: TransitionMap, g: TransitionMap) -> TransitionMap:
+    """(f o g): target(f) <- source(g); requires source(f) == target(g)."""
+    if f.source != g.target:
+        raise SuperError(
+            f"cannot compose: f has source chart {f.source.index}, g targets {g.target.index}"
+        )
+    assignment = {name: substitute(elem, g.assignment) for name, elem in f.assignment.items()}
+    return TransitionMap(g.source, f.target, assignment)
+
+
+def omega_cocycle_sum_composed(atlas: Atlas) -> dict[str, SuperElem]:
+    """Read the three deformation derivations on chart 0 and sum them.
+
+    Each overlap (i <- j) contributes the derivation with the J-degree-2 even
+    remainders as coefficients (over chart j) on the chart-i coordinate
+    fields.  The coefficients are pulled back to chart 0 along the chart-0
+    walk; the chart-i fields are pushed through the (0 <- i) map (the
+    identity, f01 or f01 o f12), whose Jacobian entries are pulled back the
+    same way.  The sum of a true cocycle is the zero derivation.
+    """
+    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    f01 = atlas.map(0, 1)
+    to0 = {0: identity_map(atlas.charts[0]), 1: f01, 2: compose(f01, atlas.map(1, 2))}
+    table = atlas.charts[0].table
+    total = {name: SuperElem.zero(table) for name in table.names}
+    for i, j in CYCLIC:
+        fields = {
+            name: c if j == 0 else substitute(c, walk[j])
+            for name, c in even_remainder_derivation(atlas.map(i, j)).items()
+            if not c.is_zero()
+        }
+        jac = jacobian(to0[i]).grid()
+        for m, sname in enumerate(to0[i].source.table.names):
+            if sname not in fields:
+                continue
+            for l, tname in enumerate(table.names):
+                if not jac[l][m].is_zero():
+                    total[tname] = total[tname] + substitute(jac[l][m], walk[i]) * fields[sname]
+    return total
 
 
 def add(a: SuperElem, b: SuperElem) -> SuperElem:
@@ -492,3 +542,23 @@ def _odd_scaling(chart: Chart, c: Fraction) -> TransitionMap:
     for name in chart.table.odd:
         assignment[name] = SuperElem.var(chart.table, name) * c
     return TransitionMap(chart, chart, assignment)
+
+
+def j2_shift(atlas: Atlas, shifts: dict[int, dict[str, str]]) -> Atlas:
+    """Conjugate every stored map by the even J^2-shifts phi_i: z -> z + h*t1i*t2i.
+
+    `shifts[i]` maps even coordinates of chart i to the text of h, a function
+    of chart i's evens; phi_i^-1 flips the sign of the shift, since
+    (t1i*t2i)^2 = 0.  The result is isomorphic to the given atlas.
+    """
+
+    def phi(chart: Chart, sign: int) -> TransitionMap:
+        t = chart.table
+        bilinear = SuperElem.var(t, t.odd[0]) * SuperElem.var(t, t.odd[1])
+        assignment = {name: SuperElem.var(t, name) for name in t.names}
+        for name, h in shifts.get(chart.index, {}).items():
+            assignment[name] = assignment[name] + parse(h, t) * bilinear * sign
+        return TransitionMap(chart, chart, assignment)
+
+    maps = {key: compose(compose(phi(f.target, 1), f), phi(f.source, -1)) for key, f in atlas.maps.items()}
+    return Atlas(atlas.charts.values(), maps, atlas.notes)

@@ -15,9 +15,8 @@ from supergeo import (
     VarTable,
     chart0_walk,
     check_cocycle_loop,
-    compose,
     even_remainder_derivation,
-    identity_map,
+    format_elem,
     is_calabi_yau,
     jacobian,
     matmul,
@@ -27,15 +26,19 @@ from supergeo import (
 )
 from supergeo.atlas import (
     AFFINE,
+    CHARTS,
     CYCLIC,
+    HOM,
+    _reduced_walk,
     affine_indices,
     correction,
+    cycle_product,
     normal_form_orders,
     pivot,
     reduced_transition,
 )
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane
-from oracles import compose_jacobians, from_grid, invert_map, rescale_odd
+from oracles import compose, compose_jacobians, from_grid, identity_map, invert_map, rescale_odd
 
 
 def test_standard_chart_names():
@@ -329,11 +332,48 @@ WALK_ATLASES = {
 def test_chart0_walk_matches_inverse_maps(name):
     family, lam = WALK_ATLASES[name]
     atlas = family(lam)
-    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    walk = atlas.walk()
+    assert walk == chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
     assert list(walk) == [2, 1, 0]
     assert walk[2] == atlas.map(2, 0).assignment
     assert walk[1] == invert_map(atlas.map(0, 1)).assignment
     assert walk[0] == identity_map(standard_chart(0)).assignment
+
+
+def constant_grid(pair, rows):
+    table = standard_chart(pair[1]).table
+    return [[SuperElem.const(table, c) for c in row] for row in rows]
+
+
+def test_cycle_product_multiplies_in_the_cycle_order():
+    # A B C != C B A for these grids, so the product pins the order (0<-1)(1<-2)(2<-0)
+    rows = {(0, 1): [[1, 1], [0, 1]], (1, 2): [[1, 0], [1, 1]], (2, 0): [[2, 0], [0, 1]]}
+    grids = {pair: constant_grid(pair, r) for pair, r in rows.items()}
+    product = cycle_product(_reduced_walk(), grids)
+    assert [[e.constant_value() for e in row] for row in product] == [[4, 1], [2, 1]]
+    reversed_rows = {(0, 1): rows[(2, 0)], (1, 2): rows[(1, 2)], (2, 0): rows[(0, 1)]}
+    reversed_product = cycle_product(_reduced_walk(), {p: constant_grid(p, r) for p, r in reversed_rows.items()})
+    assert [[e.constant_value() for e in row] for row in reversed_product] == [[2, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("name", ["decomposable", "pi-plane"])
+def test_cycle_product_reads_each_grid_on_chart_0(name):
+    # the O(1) cocycle X_i/X_j, one pivot per overlap, closes on chart 0
+    atlas = build_decomposable(Fraction(1)) if name == "decomposable" else build_pi_plane()
+    grids = {pair: [[SuperElem.var(standard_chart(pair[1]).table, pivot(pair))]] for pair in CYCLIC}
+    for walk in (_reduced_walk(), atlas.walk()):
+        ((product,),) = cycle_product(walk, grids)
+        assert product.body() == SuperElem.one(standard_chart(0).table)
+    # a non-cocycle: the (2<-0) grid is read as it stands, not through the loop
+    grids[(2, 0)] = [[SuperElem.var(standard_chart(0).table, "z10")]]
+    ((product,),) = cycle_product(_reduced_walk(), grids)
+    assert format_elem(product) == "z10*z20^-1"
+
+
+def test_cover_indices_come_from_the_cycle():
+    assert CHARTS == (0, 1, 2)
+    assert HOM.even == ("X0", "X1", "X2")
+    assert {i: affine_indices(i) for i in CHARTS} == {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 def test_atlas_requires_consistent_keys():

@@ -32,11 +32,10 @@ from supergeo import (
     standard_chart,
     substitute,
 )
-from supergeo.atlas import CYCLIC, chart0_walk
 from supergeo.cech import MAX_BASIS, _comb, _homogenize
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs
 
-from oracles import count_h0, count_hn, rescale_odd
+from oracles import count_h0, count_hn, j2_shift, omega_cocycle_sum_composed, rescale_odd
 
 T0 = standard_chart(0).table
 
@@ -346,6 +345,37 @@ def test_omega_cocycle_sums_to_zero(family, lam):
     assert all(v.is_zero() for v in total.values())
 
 
+# shifts h of z_mi -> z_mi + h*t1i*t2i on each chart
+J2_SHIFTS = {0: {"z10": "z10^2", "z20": "3*z10*z20"}, 1: {"z21": "1 + z21"}, 2: {"z12": "z12^3 - 2"}}
+
+OMEGA_ATLASES = {
+    **{
+        f"{family.__name__}-{lam}": (lambda lam=lam, family=family: family(lam))
+        for family in (build_decomposable, build_omega1)
+        for lam in (Fraction(0), Fraction(3, 2), Fraction(-7, 3))
+    },
+    "pi-plane": build_pi_plane,
+    "omega1-3-rescaled-2": lambda: rescale_odd(build_omega1(Fraction(3)), 2),
+    "decomposable-1-j2-shifted": lambda: j2_shift(build_decomposable(Fraction(1)), J2_SHIFTS),
+    "omega1-3/2-j2-shifted": lambda: j2_shift(build_omega1(Fraction(3, 2)), J2_SHIFTS),
+    "decomposable-corrupted": lambda: corrupted_decomposable(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_ATLASES))
+def test_omega_cocycle_sum_matches_the_composed_jacobians(name):
+    atlas = OMEGA_ATLASES[name]()
+    assert omega_cocycle_sum(atlas) == omega_cocycle_sum_composed(atlas)
+
+
+def test_j2_shift_keeps_the_loop_and_moves_the_maps():
+    atlas = build_omega1(Fraction(3, 2))
+    shifted = j2_shift(atlas, J2_SHIFTS)
+    assert check_cocycle_loop(shifted).ok
+    assert shifted.map(0, 1).assignment != atlas.map(0, 1).assignment
+    assert all(v.is_zero() for v in omega_cocycle_sum(shifted).values())
+
+
 def corrupted_decomposable() -> Atlas:
     """build_decomposable(1) with the deformation sign of (0<-1) flipped."""
     atlas = build_decomposable(Fraction(1))
@@ -386,7 +416,7 @@ def test_top_reading_is_chart_independent(name):
     family, lam = READING_ATLASES[name]
     atlas = family(lam)
     signs = frame_signs(atlas)
-    walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
+    walk = atlas.walk()
     rng = random.Random(1706)
     for j in (1, 2):
         table = atlas.charts[j].table

@@ -409,6 +409,15 @@ def test_parse_command_syntax_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("expr, pos", [("\u00b2", 0), ("z10^\u00b2", 4), ("z10^\u0663", 4)])
+def test_parse_command_refuses_non_ascii_digits(expr, pos, capsys):
+    # a verification failure (exit 1) at its position, as for any other stray character
+    assert main(["parse", expr, "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["outcome"] == "fail"
+    assert rep["details"]["error"].endswith(f"at position {pos}")
+
+
 def test_parse_command_exponent_bound():
     code, rep = report_of(["parse", "z10^1000000"])
     assert (code, rep["details"]["canonical"]) == (0, "z10^1000000")
@@ -501,6 +510,32 @@ def test_main_text_output(capsys):
     assert main(["cohomology", "--n", "2", "--k", "-3", "--q", "2"]) == 0
     out = capsys.readouterr().out
     assert "1" in out
+
+
+def test_main_follows_an_abbreviated_json_flag(capsys):
+    assert main(["sym-rank", "--k", "2", "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["details"] == {"k": 2, "even": 4, "odd": 4}
+
+
+def test_main_reads_json_after_double_dash_as_the_expression(capsys):
+    assert main(["parse", "--", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("parse: fail\n")
+    assert "unknown identifier 'json'" in out
+
+
+@pytest.mark.parametrize(
+    "argv, as_json",
+    [(["parse", "--json"], True), (["parse", "--bogus", "--", "--json"], False)],
+    ids=["flag-before-a-usage-error", "after-double-dash"],
+)
+def test_main_reads_the_flag_of_an_unparsed_argv_before_double_dash(argv, as_json, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    if as_json:
+        assert json.loads(captured.out)["outcome"] == "usage-error"
+    else:
+        assert (captured.out, captured.err.splitlines()[0]) == ("", "supergeo: usage-error")
 
 
 def test_usage_error_prints_to_stderr(capsys):

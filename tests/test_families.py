@@ -265,11 +265,12 @@ LAYER_MODULES = [importlib.import_module(f"supergeo.{layer}") for layer in LAYER
 
 
 def memoized_helpers() -> dict[str, object]:
-    """Every functools-memoized function of the layers, by module.name."""
+    """Every functools-memoized function of the layers, by the module.name that
+    defines it (a helper another layer imports is listed once)."""
     return {
-        f"{module.__name__.split('.')[-1]}.{name}": value
+        f"{value.__module__.split('.')[-1]}.{value.__name__}": value
         for module in LAYER_MODULES
-        for name, value in vars(module).items()
+        for value in vars(module).values()
         if callable(getattr(value, "cache_clear", None))
     }
 
@@ -288,7 +289,7 @@ def test_memoized_helpers_are_keyed_by_the_cover_only():
         "atlas._standard_chart": ("i",),
         "atlas._reduced_transition": ("pair",),
         "atlas._correction": ("pair",),
-        "families._reduced_walk": (),
+        "atlas._reduced_walk": (),
         "families._valid_decomposable": (),
         "families._valid_cotangent": (),
         "families._pi_plane": (),

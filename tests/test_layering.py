@@ -81,6 +81,33 @@ def test_checker_sees_a_function_level_import():
     assert imports_of(ast.parse(source)) == [(2, "families", True, True)]
 
 
+def callers_of(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Modules that call `name`, by its bare name or as an attribute."""
+    return [
+        module
+        for module, tree in trees.items()
+        if any(
+            isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+        )
+    ]
+
+
+def test_only_atlas_walks_the_cycle():
+    # every loop reading on chart 0 goes through Atlas.walk or the reduced walk
+    trees = {layer: ast.parse((SRC / f"{layer}.py").read_text()) for layer in LAYERS}
+    assert callers_of(trees, "chart0_walk") == ["atlas"]
+
+
+def test_checker_sees_a_call_to_the_walk():
+    trees = {
+        "low": ast.parse("def chart0_walk(m):\n    return m\nW = chart0_walk({})\n"),
+        "mid": ast.parse("from . import low\ndef f(m):\n    return low.chart0_walk(m)\n"),
+        "top": ast.parse("from .low import chart0_walk\nWALK = chart0_walk\n"),
+    }
+    assert callers_of(trees, "chart0_walk") == ["low", "mid"]
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     """Names bound by module-level imports that the module never reads."""
     bound = {}

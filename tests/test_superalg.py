@@ -282,6 +282,51 @@ def test_parse_errors():
         parse("1/(z + w)", T)
 
 
+@pytest.mark.parametrize(
+    "text, pos",
+    [("\u00b2", 0), ("z^\u00b2", 2), ("z^\u0663", 2), ("1\u0663", 1), ("3*\uff17", 2)],
+    ids=["superscript", "superscript-exponent", "arabic-indic-exponent", "arabic-indic-tail", "fullwidth"],
+)
+def test_parse_reads_only_ascii_digits(text, pos):
+    # str.isdigit() holds for each of these characters; int() reads some of them
+    with pytest.raises(ParseError, match=f"unexpected character .* at position {pos}$"):
+        parse(text, T)
+
+
+def count_adds(monkeypatch) -> list[int]:
+    calls = [0]
+    add = SuperElem.__add__
+
+    def counting(self, other):
+        calls[0] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(SuperElem, "__add__", counting)
+    monkeypatch.setattr(SuperElem, "__radd__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [10, 400])
+def test_parse_sums_without_copying_the_partial_sum(n, monkeypatch):
+    text = " + ".join(f"{i}*z^{i}" for i in range(1, n + 1)) + " - z^3 - 2*w"
+    want = {((i, 0), 0): Fraction(i) for i in range(1, n + 1) if i != 3}
+    want[((3, 0), 0)] = Fraction(2)
+    want[((0, 1), 0)] = Fraction(-2)
+    calls = count_adds(monkeypatch)
+    assert parse(text, T).terms == want
+    assert calls[0] == 0  # a chain of `+` would copy the growing sum n + 1 times
+
+
+@pytest.mark.parametrize("n", [10, 400])
+def test_substitute_sums_without_copying_the_partial_sum(n, monkeypatch):
+    elem = parse(" + ".join(f"{i}*z^{i}*t1" for i in range(1, n + 1)), T)
+    images = {"z": E("w"), "w": E("z"), "t1": E("t2"), "t2": E("t1")}
+    calls = count_adds(monkeypatch)
+    out = substitute(elem, images)
+    assert calls[0] == 0
+    assert out == parse(" + ".join(f"{i}*w^{i}*t2" for i in range(1, n + 1)), T)
+
+
 def test_format_round_trip_frozen():
     for text in ["0", "1", "-1", "z^-1*w", "1/2 - 3*z^2*t1", "w^-1 + z*t1*t2"]:
         a = E(text)
