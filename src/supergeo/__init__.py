@@ -30,6 +30,7 @@ from .supermat import (
 from .atlas import (
     Atlas,
     Chart,
+    MatrixCocycle,
     TransitionMap,
     chart0_walk,
     check_cocycle_loop,
@@ -55,7 +56,6 @@ from .cech import (
     serre_dual_params,
 )
 from .families import (
-    MatrixCocycle,
     atlas_equal,
     berezinian_normal_form,
     berezinian_raw,

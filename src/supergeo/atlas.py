@@ -6,7 +6,7 @@ variables.  Composition is substitution, and the Jacobian uses left
 derivatives with rows ordered by target coordinates (evens first) and columns
 by source coordinates in the same way.  Readings on chart 0 go through
 `Atlas.walk`, which substitutes the stored cyclic maps forward and never
-inverts one, and loops of matrices through one ordered `cycle_product`.
+inverts one, and the loop of a `MatrixCocycle` through one ordered `cycle_product`.
 """
 
 from __future__ import annotations
@@ -198,6 +198,19 @@ def jacobian(f: TransitionMap) -> SuperMatrix:
     return SuperMatrix(src.table, A, B, C, D)
 
 
+def transition_berezinian(f: TransitionMap) -> SuperElem:
+    """Ber of f's Jacobian transposed: det(A + B D^-1 C) / det(D).
+
+    The left-derivative chain rule puts J(g) to the left of J(f) o g, so it is
+    the transposes that multiply, J(f o g)^T = J(g)^T (J(f)^T o g), and their
+    Berezinians obey Ber(f o g) = (Ber(f) o g) * Ber(g): the values on the
+    cyclic overlaps form a cocycle.  Moving the odd entries of B D^-1 C past
+    each other to transpose it negates it, hence the plus sign.
+    """
+    x = jacobian(f)
+    return berezinian(SuperMatrix(x.table, x.A, x.B, [[-e for e in row] for row in x.C], x.D, check=False))
+
+
 # -- atlases -----------------------------------------------------------------
 
 
@@ -267,13 +280,37 @@ def _reduced_walk() -> dict[int, dict[str, SuperElem]]:
     return chart0_walk({pair: _reduced_transition(pair) for pair in CYCLIC})
 
 
-def cycle_product(walk: dict[int, dict[str, SuperElem]], grids: dict[tuple[int, int], list]) -> list:
-    """The product (0<-1)(1<-2)(2<-0) of square even grids, one per CYCLIC
-    overlap, read on chart 0: `grids[(i, j)]` is written over chart j and read
-    through `walk[j]`, but chart 0's own as it stands (`walk[0]` is the loop)."""
+class MatrixCocycle:
+    """The transitions of a locally free sheaf on the cover: per CYCLIC overlap
+    an r x r grid (r >= 1) of even elements, grid (i<-j) over chart j's table."""
+
+    __slots__ = ("matrices", "size")
+
+    def __init__(self, matrices: dict[tuple[int, int], list]):
+        self.matrices = matrices
+        if set(matrices) != set(CYCLIC):
+            raise SuperError(f"matrix cocycle must cover exactly the overlaps {CYCLIC}")
+        self.size = r = len(matrices[CYCLIC[0]]) or 1  # an empty first grid is not 1x1
+        for pair in CYCLIC:
+            grid = matrices[pair]
+            if len(grid) != r or any(len(row) != r for row in grid):
+                raise SuperError(f"overlap {pair}: matrix is not {r}x{r}")
+            table = standard_chart(pair[1]).table
+            for entry in (e for row in grid for e in row):
+                if entry.table != table:
+                    raise SuperError(f"overlap {pair}: matrix entry not written over chart {pair[1]}")
+                if not entry.is_even():
+                    raise SuperError(f"overlap {pair}: odd-parity matrix entry")
+
+
+def cycle_product(walk: dict[int, dict[str, SuperElem]], mc: MatrixCocycle) -> list:
+    """The product (0<-1)(1<-2)(2<-0) of the grids of mc read on chart 0: grid
+    (i<-j) is read through `walk[j]`, but chart 0's own as it stands
+    (`walk[0]` is the loop)."""
     product = None
     for i, j in CYCLIC:
-        grid = grids[(i, j)] if j == 0 else [[substitute(e, walk[j]) for e in row] for row in grids[(i, j)]]
+        grid = mc.matrices[(i, j)]
+        grid = grid if j == 0 else [[substitute(e, walk[j]) for e in row] for row in grid]
         product = grid if product is None else _mm(product, grid, standard_chart(0).table)
     return product
 
@@ -304,7 +341,7 @@ def is_calabi_yau(atlas: Atlas) -> CalabiYauReport:
     bers: dict[tuple[int, int], SuperElem] = {}
     ok = True
     for key in sorted(atlas.maps):
-        ber = berezinian(jacobian(atlas.maps[key]))
+        ber = transition_berezinian(atlas.maps[key])
         bers[key] = ber
         if not (ber.is_constant() and not ber.is_zero()):
             ok = False

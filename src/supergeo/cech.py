@@ -22,10 +22,11 @@ from .atlas import (
     CYCLIC,
     HOM,
     Atlas,
+    MatrixCocycle,
     affine_indices,
     cycle_product,
     even_remainder_derivation,
-    pivot,
+    pivot_power,
     standard_chart,
 )
 
@@ -222,40 +223,31 @@ def _top_class(k: int, form: SuperElem) -> CohClass:
 # -- connecting maps on the 2|2 atlases ---------------------------------------
 
 
-def default_picard_lift(atlas: Atlas) -> dict[tuple[int, int], SuperElem]:
-    """The degree-1 lift whose reductions are the O(1) cocycle X_i/X_j.
-
-    On overlap (i <- j), X_i/X_j written over chart j is a single coordinate,
-    the pivot: z11 for (0<-1), z22 for (1<-2), z20 for (2<-0).
-    """
-    return {pair: SuperElem.var(atlas.charts[pair[1]].table, pivot(pair)) for pair in CYCLIC}
+def default_picard_lift() -> MatrixCocycle:
+    """The degree-1 lift whose reductions are the O(1) cocycle X_i/X_j: on
+    overlap (i <- j) the pivot over chart j, z11 for (0<-1), z22 for (1<-2),
+    z20 for (2<-0)."""
+    return MatrixCocycle({pair: [[pivot_power(pair, 1)]] for pair in CYCLIC})
 
 
-def picard_delta(atlas: Atlas, lifts: dict[tuple[int, int], SuperElem] | None = None) -> CohClass:
+def picard_delta(atlas: Atlas, lifts: MatrixCocycle | None = None) -> CohClass:
     """Connecting map of the even-units exponential: lift, multiply, read off.
 
-    `lifts` assigns an invertible even function over the source chart to each
-    cyclic overlap (default: the O(1) cocycle lift).  Their `cycle_product`,
-    as 1x1 grids read on chart 0 along the atlas walk, must be 1 mod J (i.e.
-    the reductions really form a cocycle), and the J-degree-2 remainder is the
-    class in H^2(O(-3)).
+    `lifts` is a 1x1 `MatrixCocycle` of invertible functions (default: the
+    O(1) lift).  Its `cycle_product` along the atlas walk must be 1 mod J (the
+    reductions form a cocycle); the J-degree-2 remainder is the class in H^2(O(-3)).
     """
     if lifts is None:
-        lifts = default_picard_lift(atlas)
+        lifts = default_picard_lift()
     frame_signs = families.frame_signs(atlas)
+    if lifts.size != 1:
+        raise SuperError(f"Picard lifts must be 1x1, got {lifts.size}x{lifts.size}")
     for pair in CYCLIC:
-        if pair not in lifts:
-            raise SuperError(f"missing lift for overlap {pair[0]}<-{pair[1]}")
-        lift = lifts[pair]
-        if not lift.is_even():
-            raise SuperError(f"lift on {pair} is not even")
+        ((lift,),) = lifts.matrices[pair]
         if len(lift.body().terms) != 1:
             raise SuperError(f"lift on {pair} is not invertible (body not a single term)")
-    for pair in CYCLIC:
-        if lifts[pair].table != atlas.charts[pair[1]].table:
-            raise SuperError(f"lift on {pair} must be written over chart {pair[1]}")
 
-    ((product,),) = cycle_product(atlas.walk(), {pair: [[lifts[pair]]] for pair in CYCLIC})
+    ((product,),) = cycle_product(atlas.walk(), lifts)
     remainder = product - SuperElem.one(product.table)
     if not remainder.body().is_zero():
         raise SuperError(

@@ -19,6 +19,7 @@ from .atlas import (
     CHARTS,
     CYCLIC,
     HOM,
+    MatrixCocycle,
     check_cocycle_loop,
     is_calabi_yau,
     reduced_transition,
@@ -36,7 +37,6 @@ from .cech import (
     picard_delta,
 )
 from .families import (
-    MatrixCocycle,
     atlas_equal,
     berezinian_raw,
     build_decomposable,
@@ -46,7 +46,7 @@ from .families import (
     normal_forms,
     sym_restricted_rank,
 )
-from .selfcheck import DEFAULT_SEED, run_all
+from .selfcheck import DEFAULT_SEED, MAX_CASES, run_all
 
 FAMILIES = ("decomposable", "omega1", "pi-plane", "generic")
 
@@ -64,8 +64,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ascii(text: str) -> str:
+    """Numeric option text, refused unless ASCII: int() and Fraction() also read
+    other scripts' digits, such as "٣" or "１", but `parse` reads only 0-9."""
+    if not text.isascii():
+        raise UsageError(f"numbers are written in ASCII digits, got {text!r}")
+    return text
+
+
+def _int(text: str) -> int:
+    """The type of every integer option."""
+    return int(_ascii(text))
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _fraction(text: str) -> Fraction:
     """A rational from CLI text, refusing one too large to print in a report."""
+    _ascii(text)
     limit = int_digit_limit()
     m = _RATIONAL_FORMAT.match(text)  # the grammar Fraction() itself parses
     exp = m["exp"].replace("_", "") if m and m["exp"] else "0"
@@ -311,19 +328,19 @@ def _build_parser() -> _Parser:
         return p
 
     p = add("cohomology", _cmd_cohomology, "dim (and top-degree basis) of H^q(P^n, O(k))")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
 
     p = add("bott", _cmd_bott, "dim H^q(P^n, Omega^p(k)) by the Bott formula")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--q", type=_int, required=True)
 
     p = add("h1-tangent", _cmd_h1_tangent, "dim H^1(P^n, T(k)) two independent ways")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
 
     def family_flags(p, with_pair=False):
         p.add_argument("--family", choices=FAMILIES, required=True)
@@ -331,7 +348,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--matrix-json", dest="matrix_json", metavar="FILE",
                        help="matrix cocycle JSON (with --family generic)")
         if with_pair:
-            p.add_argument("--pair", type=int, nargs=2, required=True, metavar=("I", "J"))
+            p.add_argument("--pair", type=_int, nargs=2, required=True, metavar=("I", "J"))
 
     p = add("verify-atlas", _cmd_verify_atlas, "loop identity + reduced-part check")
     family_flags(p)
@@ -349,7 +366,7 @@ def _build_parser() -> _Parser:
     add("pi-plane-compare", _cmd_pi_plane_compare, "big-cell atlas vs the lambda=1 cotangent family")
 
     p = add("sym-rank", _cmd_sym_rank, "even|odd rank of the restricted symmetric power")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
 
     p = add("parse", _cmd_parse, "canonicalize an expression (grammar round trip)")
     p.add_argument("expr", help="expression text; put -- before one that starts with '-'")
@@ -359,7 +376,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
 
     p = add("selftest", _cmd_selftest, "seeded randomized property suite")
-    p.add_argument("--cases", type=int, default=None, help="total case budget (default 13600)")
+    p.add_argument(
+        "--cases", type=_int, default=None, help=f"total case budget (default 13600, at most {MAX_CASES})"
+    )
 
     return parser
 

@@ -16,23 +16,24 @@ from fractions import Fraction
 from functools import cache
 
 from .superalg import SuperElem, SuperError, deriv_even, deriv_odd_left, format_elem
-from .supermat import SuperMatrix, berezinian, det_even, standard_form
+from .supermat import SuperMatrix, det_even, standard_form
 from .atlas import (
     CHARTS,
     CYCLIC,
     Atlas,
     Chart,
+    MatrixCocycle,
     TransitionMap,
     _reduced_walk,
     affine_indices,
     correction,
     cycle_product,
-    jacobian,
     normal_form_orders,
     pivot,
     pivot_power,
     reduced_transition,
     standard_chart,
+    transition_berezinian,
 )
 
 
@@ -70,24 +71,6 @@ def build_omega1(lam) -> Atlas:
 
 
 # -- matrix cocycles ----------------------------------------------------------
-
-
-class MatrixCocycle:
-    """2x2 even matrices M_{i<-j} over the source chart, cyclic overlaps."""
-
-    __slots__ = ("matrices",)
-
-    def __init__(self, matrices: dict[tuple[int, int], list]):
-        self.matrices = matrices
-        if set(self.matrices) != set(CYCLIC):
-            raise SuperError(f"matrix cocycle must cover exactly the overlaps {CYCLIC}")
-        for pair, grid in self.matrices.items():
-            if len(grid) != 2 or any(len(row) != 2 for row in grid):
-                raise SuperError(f"overlap {pair}: matrix is not 2x2")
-            for row in grid:
-                for entry in row:
-                    if not entry.is_even():
-                        raise SuperError(f"overlap {pair}: odd-parity matrix entry")
 
 
 def decomposable_cocycle() -> MatrixCocycle:
@@ -133,7 +116,7 @@ def _det_powers(mc: MatrixCocycle) -> dict[tuple[int, int], tuple[int, int]]:
     """(sign, k) with det M_{i<-j} = sign * pivot^k, one det per overlap."""
     powers = {}
     for pair in CYCLIC:
-        det = det_even(mc.matrices[pair], standard_chart(pair[1]).table)
+        det = det_even(mc.matrices[pair])
         try:
             powers[pair] = _match_monomial(det, pivot(pair))
         except SuperError as exc:
@@ -197,10 +180,11 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 def _validate(mc: MatrixCocycle) -> dict[int, int]:
     """The frame signs s of a valid cocycle; raises SuperError otherwise.
 
-    det must identify with the O(-3) cocycle (twist -3, pivot powers), and
-    M_{0<-1} M_{1<-2} M_{2<-0} must be the identity after substitution into
-    one chart.
+    The grids must be 2x2, det must identify with the O(-3) cocycle (twist -3,
+    pivot powers), and M_{0<-1} M_{1<-2} M_{2<-0} must be the identity on chart 0.
     """
+    if mc.size != 2:  # _assemble reads a 2x2 odd block
+        raise SuperError(f"overlap {CYCLIC[0]}: matrix is not 2x2")
     powers = _det_powers(mc)
     twist = _det_twist(powers)
     s = _frame_signs(powers)
@@ -246,7 +230,7 @@ def _valid_cotangent() -> tuple[MatrixCocycle, dict[int, int]]:
 
 def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
     """M_{0<-1} M_{1<-2} M_{2<-0} == identity, read on chart 0 along the reduced walk."""
-    prod = cycle_product(_reduced_walk(), mc.matrices)
+    prod = cycle_product(_reduced_walk(), mc)
     bad = [
         f"[{a}][{b}] = {format_elem(entry)}"
         for a, row in enumerate(prod)
@@ -376,5 +360,5 @@ def berezinian_normal_form(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
 
 
 def berezinian_raw(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
-    """Berezinian of the stored map under the global z1,z2,t1,t2 ordering."""
-    return berezinian(jacobian(atlas.map(*pair)))
+    """`transition_berezinian` of the stored map under the global z1,z2,t1,t2 ordering."""
+    return transition_berezinian(atlas.map(*pair))

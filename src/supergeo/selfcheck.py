@@ -29,6 +29,10 @@ TABLE = VarTable(even=("z1", "z2"), odd=("t1", "t2"))
 
 DEFAULT_SEED = 7152026
 
+# Largest total case budget run_all accepts, about 74 times the default: a
+# larger one would run for hours, and one past float range cannot be scaled.
+MAX_CASES = 10**6
+
 # cases per property at --cases 13600 (the default budget)
 BUDGET = {
     "supercommutativity": 3000,
@@ -214,11 +218,13 @@ CHECKS = {
 def run_all(seed: int = DEFAULT_SEED, total_cases: int | None = None) -> dict:
     """Run every property with a deterministic per-property RNG stream.
 
-    `total_cases` (at least 1) rescales the default budget proportionally,
+    `total_cases` (1 to MAX_CASES) rescales the default budget proportionally,
     keeping at least one case per property.  Returns a JSON-ready report.
     """
     if total_cases is not None and total_cases < 1:
         raise ValueError(f"the case budget must be at least 1, got {total_cases}")
+    if total_cases is not None and total_cases > MAX_CASES:
+        raise ValueError(f"the case budget must be at most {MAX_CASES}, got {total_cases}")
     budget_total = sum(BUDGET.values())
     scale = 1.0 if total_cases is None else total_cases / budget_total
     t0 = time.monotonic()

@@ -33,6 +33,7 @@ from supergeo.atlas import (
     CYCLIC,
     Atlas,
     Chart,
+    MatrixCocycle,
     TransitionMap,
     chart0_walk,
     even_remainder_derivation,
@@ -40,7 +41,7 @@ from supergeo.atlas import (
     normal_form_orders,
     standard_chart,
 )
-from supergeo.families import MatrixCocycle, frame_signs
+from supergeo.families import frame_signs
 
 # ---------------------------------------------------------------------------
 # naive Grassmann-Laurent arithmetic on list-of-term representations

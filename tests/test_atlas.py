@@ -3,11 +3,13 @@
 import copy
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from supergeo import (
     Atlas,
+    berezinian,
     Chart,
     SuperElem,
     SuperError,
@@ -29,6 +31,7 @@ from supergeo.atlas import (
     CHARTS,
     CYCLIC,
     HOM,
+    MatrixCocycle,
     _reduced_walk,
     affine_indices,
     correction,
@@ -36,9 +39,11 @@ from supergeo.atlas import (
     normal_form_orders,
     pivot,
     reduced_transition,
+    transition_berezinian,
 )
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane
-from oracles import compose, compose_jacobians, from_grid, identity_map, invert_map, rescale_odd
+from oracles import compose, compose_jacobians, from_grid, identity_map, invert_map, j2_shift, rescale_odd
+from test_cech import J2_SHIFTS
 
 
 def test_standard_chart_names():
@@ -348,11 +353,12 @@ def constant_grid(pair, rows):
 def test_cycle_product_multiplies_in_the_cycle_order():
     # A B C != C B A for these grids, so the product pins the order (0<-1)(1<-2)(2<-0)
     rows = {(0, 1): [[1, 1], [0, 1]], (1, 2): [[1, 0], [1, 1]], (2, 0): [[2, 0], [0, 1]]}
-    grids = {pair: constant_grid(pair, r) for pair, r in rows.items()}
+    grids = MatrixCocycle({pair: constant_grid(pair, r) for pair, r in rows.items()})
     product = cycle_product(_reduced_walk(), grids)
     assert [[e.constant_value() for e in row] for row in product] == [[4, 1], [2, 1]]
     reversed_rows = {(0, 1): rows[(2, 0)], (1, 2): rows[(1, 2)], (2, 0): rows[(0, 1)]}
-    reversed_product = cycle_product(_reduced_walk(), {p: constant_grid(p, r) for p, r in reversed_rows.items()})
+    reversed_grids = MatrixCocycle({p: constant_grid(p, r) for p, r in reversed_rows.items()})
+    reversed_product = cycle_product(_reduced_walk(), reversed_grids)
     assert [[e.constant_value() for e in row] for row in reversed_product] == [[2, 2], [1, 2]]
 
 
@@ -362,12 +368,76 @@ def test_cycle_product_reads_each_grid_on_chart_0(name):
     atlas = build_decomposable(Fraction(1)) if name == "decomposable" else build_pi_plane()
     grids = {pair: [[SuperElem.var(standard_chart(pair[1]).table, pivot(pair))]] for pair in CYCLIC}
     for walk in (_reduced_walk(), atlas.walk()):
-        ((product,),) = cycle_product(walk, grids)
+        ((product,),) = cycle_product(walk, MatrixCocycle(grids))
         assert product.body() == SuperElem.one(standard_chart(0).table)
     # a non-cocycle: the (2<-0) grid is read as it stands, not through the loop
     grids[(2, 0)] = [[SuperElem.var(standard_chart(0).table, "z10")]]
-    ((product,),) = cycle_product(_reduced_walk(), grids)
+    ((product,),) = cycle_product(_reduced_walk(), MatrixCocycle(grids))
     assert format_elem(product) == "z10*z20^-1"
+
+
+# ---------------------------------------------------------------------------
+# the Berezinian and Jacobian cocycles of a glued atlas
+# ---------------------------------------------------------------------------
+
+# z10 -> z10 + z10^2*t10*t20 on chart 0 and z22 -> z22 + 3*t12*t22 on chart 2
+SHIFT = {0: {"z10": "z10^2"}, 2: {"z22": "3"}}
+
+GLUED_ATLASES = {
+    **{
+        f"{family.__name__}-{lam}": partial(family, lam)
+        for family in (build_decomposable, build_omega1)
+        for lam in (Fraction(0), Fraction(3, 2), Fraction(-7, 3))
+    },
+    "pi-plane": build_pi_plane,
+    "omega1-3-rescaled-2": lambda: rescale_odd(build_omega1(Fraction(3)), 2),
+    "omega1-3/2-shifted": lambda: j2_shift(build_omega1(Fraction(3, 2)), SHIFT),
+    "decomposable-1-shifted": lambda: j2_shift(build_decomposable(Fraction(1)), J2_SHIFTS),
+}
+
+
+def berezinian_cocycle(atlas, ber=transition_berezinian) -> MatrixCocycle:
+    return MatrixCocycle({pair: [[ber(atlas.map(*pair))]] for pair in CYCLIC})
+
+
+@pytest.mark.parametrize("name", sorted(GLUED_ATLASES))
+def test_transition_berezinians_form_a_cocycle(name):
+    atlas = GLUED_ATLASES[name]()
+    assert check_cocycle_loop(atlas).ok
+    assert cycle_product(atlas.walk(), berezinian_cocycle(atlas)) == [[SuperElem.one(standard_chart(0).table)]]
+
+
+@pytest.mark.parametrize("name", sorted(GLUED_ATLASES))
+def test_transition_berezinian_is_multiplicative(name):
+    # Ber(f o g) = (Ber(f) o g) * Ber(g) for each pair of adjacent stored maps
+    atlas = GLUED_ATLASES[name]()
+    for (i, j), (k, l) in zip(CYCLIC, CYCLIC[1:] + CYCLIC[:1]):
+        f, g = atlas.map(i, j), atlas.map(k, l)
+        want = substitute(transition_berezinian(f), g.assignment) * transition_berezinian(g)
+        assert transition_berezinian(compose(f, g)) == want, (i, j, k, l)
+
+
+@pytest.mark.parametrize("name", sorted(GLUED_ATLASES))
+def test_jacobian_cocycle_loop_is_the_identity(name):
+    # the graded chain rule of the oracles, taken round (0<-1)(1<-2)(2<-0)
+    atlas = GLUED_ATLASES[name]()
+    f01, f12, f20 = (atlas.map(*pair) for pair in CYCLIC)
+    assert compose_jacobians(f12, f20) == jacobian(compose(f12, f20))
+    identity = jacobian(identity_map(standard_chart(0)))
+    assert compose_jacobians(f01, compose(f12, f20)) == identity
+    assert compose_jacobians(compose(f01, f12), f20) == identity
+
+
+def test_untransposed_berezinian_is_not_a_cocycle():
+    # Ber of the left-derivative Jacobian itself is not multiplicative on a
+    # J^2-shifted atlas, so its three values need not close round the loop
+    atlas = GLUED_ATLASES["omega1-3/2-shifted"]()
+    naive = lambda f: berezinian(jacobian(f))
+    ((product,),) = cycle_product(atlas.walk(), berezinian_cocycle(atlas, naive))
+    assert format_elem(product) == "18*z10^-1*z20^-2*t10*t20 + 1 + 6*z10*t10*t20"
+    f, g = atlas.map(1, 2), atlas.map(2, 0)
+    assert format_elem(berezinian(compose_jacobians(f, g))) == "1 + 4*z10*t10*t20"
+    assert format_elem(substitute(naive(f), g.assignment) * naive(g)) == "18*z10^-1*z20^-2*t10*t20 + 1 - 2*z10*t10*t20"
 
 
 def test_cover_indices_come_from_the_cycle():

@@ -10,6 +10,7 @@ import pytest
 from supergeo import (
     Atlas,
     CohClass,
+    MatrixCocycle,
     SuperElem,
     SuperError,
     TransitionMap,
@@ -32,8 +33,9 @@ from supergeo import (
     standard_chart,
     substitute,
 )
+from supergeo.atlas import CYCLIC
 from supergeo.cech import MAX_BASIS, _comb, _homogenize
-from supergeo.families import build_decomposable, build_omega1, build_pi_plane, frame_signs
+from supergeo.families import build_decomposable, build_omega1, build_pi_plane, decomposable_cocycle, frame_signs
 
 from oracles import count_h0, count_hn, j2_shift, omega_cocycle_sum_composed, rescale_odd
 
@@ -298,32 +300,36 @@ def test_picard_delta_linearity():
 
 def test_picard_delta_trivial_lift():
     atlas = build_decomposable(Fraction(1))
-    lifts = {
-        (0, 1): SuperElem.one(standard_chart(1).table),
-        (1, 2): SuperElem.one(standard_chart(2).table),
-        (2, 0): SuperElem.one(standard_chart(0).table),
-    }
+    lifts = MatrixCocycle({pair: [[SuperElem.one(standard_chart(pair[1]).table)]] for pair in CYCLIC})
     assert picard_delta(atlas, lifts=lifts).is_zero()
 
 
 def test_picard_delta_rejects_lift_over_the_wrong_chart():
+    grids = default_picard_lift().matrices
+    with pytest.raises(SuperError, match=r"overlap \(0, 1\): matrix entry not written over chart 1"):
+        MatrixCocycle({**grids, (0, 1): [[parse("1/z10", T0)]]})
+    with pytest.raises(SuperError, match=r"overlap \(2, 0\): matrix entry not written over chart 0"):
+        MatrixCocycle({**grids, (2, 0): [[parse("z22", standard_chart(2).table)]]})
+
+
+def test_picard_delta_keeps_only_its_own_checks():
+    # the type checks overlaps, parity and charts; picard_delta the size and the body
     atlas = build_decomposable(Fraction(1))
-    lifts = default_picard_lift(atlas)
-    lifts[(0, 1)] = parse("1/z10", T0)
-    with pytest.raises(SuperError, match=r"lift on \(0, 1\) must be written over chart 1"):
-        picard_delta(atlas, lifts=lifts)
-    lifts = default_picard_lift(atlas)
-    lifts[(2, 0)] = parse("z22", standard_chart(2).table)
-    with pytest.raises(SuperError, match=r"lift on \(2, 0\) must be written over chart 0"):
-        picard_delta(atlas, lifts=lifts)
+    with pytest.raises(SuperError, match="Picard lifts must be 1x1, got 2x2"):
+        picard_delta(atlas, lifts=decomposable_cocycle())
+    grids = default_picard_lift().matrices
+    grids[(1, 2)] = [[parse("1 + z22", standard_chart(2).table)]]
+    with pytest.raises(SuperError, match=r"lift on \(1, 2\) is not invertible"):
+        picard_delta(atlas, lifts=MatrixCocycle(grids))
 
 
 def test_picard_delta_rejects_non_cocycle_lift():
     atlas = build_decomposable(Fraction(1))
-    lifts = default_picard_lift(atlas)
-    lifts[(2, 0)] = lifts[(2, 0)] * parse("z20", standard_chart(0).table)
-    with pytest.raises(SuperError):
-        picard_delta(atlas, lifts=lifts)
+    grids = default_picard_lift().matrices
+    ((lift,),) = grids[(2, 0)]
+    grids[(2, 0)] = [[lift * parse("z20", standard_chart(0).table)]]
+    with pytest.raises(SuperError, match="lift reductions do not form a cocycle"):
+        picard_delta(atlas, lifts=MatrixCocycle(grids))
 
 
 @pytest.mark.parametrize("family", [build_decomposable, build_omega1])

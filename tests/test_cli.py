@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from supergeo import cech
-from supergeo.cli import main, run
+from supergeo.cli import _build_parser, _int, main, run
+from supergeo.selfcheck import MAX_CASES
 
 GENERATOR = "X0^-1*X1^-1*X2^-1"
 
@@ -216,7 +217,8 @@ def test_lambda_exponent_bound_is_usage_error():
 
 
 # Forms of Fraction's own string grammar: signs, a bare or empty fractional
-# part, underscores, Unicode digits, surrounding whitespace.
+# part, underscores, surrounding whitespace, and Unicode digits, which the CLI
+# refuses before anything else.
 FRACTION_FORMS = ("-7e{e}", "+.5e{e}", "1.e{e}", "1_0e{e}", " 2.5E{e} ", "\u0663e{e}")
 
 
@@ -225,11 +227,19 @@ def test_lambda_exponent_bound_reads_fraction_grammar(form):
     for e in ("+4_301", "-99999999999999999999", "1" * 5000, "\u0664\u0663\u0660\u0661"):
         text = form.format(e=e)
         code, rep = report_of(["parse", "l", "--bind", f"l={text}"])
-        assert (code, rep["details"]["error"]) == (2, f"exponent of {text!r} exceeds the bound 4300")
+        want = f"exponent of {text!r} exceeds the bound 4300" if text.isascii() else non_ascii_error(text)
+        assert (code, rep["details"]["error"]) == (2, want)
     for e in ("-3", "\u0660\u0663", "0" * 4000 + "2"):
         text = form.format(e=e)
         code, rep = report_of(["parse", "l", "--bind", f"l={text}"])
-        assert (code, rep["details"].get("canonical")) == (0, str(Fraction(text))), text
+        if text.isascii():
+            assert (code, rep["details"].get("canonical")) == (0, str(Fraction(text))), text
+        else:
+            assert (code, rep["details"].get("error")) == (2, non_ascii_error(text)), text
+
+
+def non_ascii_error(text):
+    return f"numbers are written in ASCII digits, got {text!r}"
 
 
 def test_lambda_bounds_follow_the_process_limit(str_digits):
@@ -468,6 +478,16 @@ def test_selftest_budget_below_one_is_usage_error(cases):
     assert rep["details"]["error"] == f"the case budget must be at least 1, got {cases}"
 
 
+@pytest.mark.parametrize("cases", [str(MAX_CASES + 1), "1" + "0" * 400], ids=["above-the-bound", "401-digits"])
+def test_selftest_budget_above_the_bound_is_usage_error(cases, capsys):
+    # refused before run_all scales the budget in float or runs a case
+    code, rep = report_of(["selftest", "--cases", cases])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == f"the case budget must be at most 1000000, got {cases}"
+    assert main(["selftest", "--cases", cases]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_selftest_small_budget():
     code, rep = report_of(["selftest", "--cases", "70"])
     assert code == 0
@@ -552,3 +572,63 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["details"] == {"k": 2, "even": 4, "odd": 4}
+
+
+# ---------------------------------------------------------------------------
+# numeric options read ASCII digits only
+# ---------------------------------------------------------------------------
+
+# a valid value for every required option, so that only the tested one is bad
+VALID = {"--n": ["2"], "--p": ["1"], "--k": ["1"], "--q": ["2"], "--pair": ["0", "1"], "--cases": ["7"],
+         "--family": ["decomposable"]}
+
+
+def int_options():
+    """(subcommand, option, nargs, the subcommand's other required options) for
+    every integer-typed option of the parser."""
+    subparsers = next(a for a in _build_parser()._actions if a.choices and a.dest == "command")
+    found = []
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.type is _int:
+                required = [a.option_strings[0] for a in sub._actions if a.required and a is not action]
+                found.append((name, action.option_strings[0], action.nargs or 1, required))
+    return found
+
+
+INT_OPTIONS = int_options()
+
+
+def test_every_integer_option_is_found():
+    assert {(name, option) for name, option, _, _ in INT_OPTIONS} == {
+        ("cohomology", "--n"), ("cohomology", "--k"), ("cohomology", "--q"),
+        ("bott", "--n"), ("bott", "--p"), ("bott", "--k"), ("bott", "--q"),
+        ("h1-tangent", "--n"), ("h1-tangent", "--k"),
+        ("berezinian", "--pair"), ("sym-rank", "--k"), ("selftest", "--cases"),
+    }
+
+
+@pytest.mark.parametrize("name, option, nargs, required", INT_OPTIONS, ids=[f"{n}{o}" for n, o, _, _ in INT_OPTIONS])
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "full-width"])
+def test_integer_options_read_ascii_digits_only(name, option, nargs, required, digit):
+    argv = [name, *(text for opt in required for text in (opt, *VALID[opt]))]
+    assert run([*argv, option, *VALID[option]])[0] == 0  # the ASCII spelling is fine
+    code, rep = run([*argv, option, digit, *VALID[option][1:nargs]])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == non_ascii_error(digit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["obstruction", "--family", "decomposable", "--lambda", "\u0663"], ["parse", "l", "--bind", "l=\u0663/\u0662"]],
+    ids=["lambda", "bind"],
+)
+def test_rational_options_read_ascii_digits_only(argv):
+    code, rep = run(argv)
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == non_ascii_error(argv[-1].removeprefix("l="))
+
+
+def test_a_non_number_keeps_the_argparse_message():
+    code, rep = run(["cohomology", "--n", "two", "--k", "1", "--q", "0"])
+    assert (code, rep["details"]["error"]) == (2, "argument --n: invalid int value: 'two'")

@@ -114,6 +114,29 @@ def test_matrix_cocycle_validation():
         )
 
 
+def test_matrix_cocycle_names_the_overlap():
+    good = decomposable_cocycle().matrices
+    with pytest.raises(SuperError, match=r"^overlap \(0, 1\): matrix is not 1x1$"):
+        MatrixCocycle({**good, (0, 1): []})
+    with pytest.raises(SuperError, match=r"^overlap \(1, 2\): matrix is not 2x2$"):
+        MatrixCocycle({**good, (1, 2): [[parse("1", T2)]]})
+    with pytest.raises(SuperError, match=r"^overlap \(2, 0\): matrix is not 2x2$"):
+        MatrixCocycle({**good, (2, 0): [[parse("1", T0), parse("0", T0)], [parse("1", T0)]]})
+    # a 1x1 cocycle is a valid type, but F needs 2x2
+    ones = MatrixCocycle({pair: [[SuperElem.one(standard_chart(pair[1]).table)]] for pair in good})
+    assert ones.size == 1 and decomposable_cocycle().size == 2
+    with pytest.raises(SuperError, match=r"^overlap \(0, 1\): matrix is not 2x2$"):
+        build_generic(ones, 1)
+
+
+def test_build_generic_refuses_a_grid_over_the_wrong_chart():
+    # (0<-1) written over chart 0 used to escape _match_monomial as a bare ValueError
+    mats = {**decomposable_cocycle().matrices, (0, 1): [[parse("1/z10", T0), parse("0", T0)],
+                                                        [parse("0", T0), parse("z10^-2", T0)]]}
+    with pytest.raises(SuperError, match=r"^overlap \(0, 1\): matrix entry not written over chart 1$"):
+        build_generic(MatrixCocycle(mats), 1)
+
+
 def test_builtin_cocycles_frozen():
     typed = {
         decomposable_cocycle: {
