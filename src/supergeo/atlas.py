@@ -208,7 +208,7 @@ def transition_berezinian(f: TransitionMap) -> SuperElem:
     each other to transpose it negates it, hence the plus sign.
     """
     x = jacobian(f)
-    return berezinian(SuperMatrix(x.table, x.A, x.B, [[-e for e in row] for row in x.C], x.D, check=False))
+    return berezinian(SuperMatrix(x.table, x.A, x.B, [[-e for e in row] for row in x.C], x.D))
 
 
 # -- atlases -----------------------------------------------------------------
@@ -311,7 +311,7 @@ def cycle_product(walk: dict[int, dict[str, SuperElem]], mc: MatrixCocycle) -> l
     for i, j in CYCLIC:
         grid = mc.matrices[(i, j)]
         grid = grid if j == 0 else [[substitute(e, walk[j]) for e in row] for row in grid]
-        product = grid if product is None else _mm(product, grid, standard_chart(0).table)
+        product = grid if product is None else _mm(product, grid)
     return product
 
 

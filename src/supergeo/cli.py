@@ -111,8 +111,10 @@ def _pair_str(pair) -> str:
 
 
 def _get_atlas(args):
-    family = args.family
-    lam = _fraction(getattr(args, "lam", "1"))
+    family, path = args.family, args.matrix_json
+    if path is not None and family != "generic":
+        raise UsageError(f"--matrix-json is read only with --family generic, not --family {family}")
+    lam = _fraction(args.lam)
     if family == "decomposable":
         return build_decomposable(lam), lam
     if family == "omega1":
@@ -121,39 +123,36 @@ def _get_atlas(args):
         if lam != 1:
             raise UsageError("the pi-plane atlas is the lambda = 1 member; use --lambda 1")
         return build_pi_plane(), lam
-    if family == "generic":
-        path = getattr(args, "matrix_json", None)
-        if not path:
-            raise UsageError("--matrix-json FILE is required with --family generic")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}: not valid JSON: {exc}") from None
-        except RecursionError:
-            raise UsageError(f"{path}: JSON nested too deeply to read") from None
-        matrices = data.get("matrices") if isinstance(data, dict) else None
-        if not isinstance(matrices, dict):
-            raise UsageError(f'{path}: expected a JSON object with a "matrices" object')
-        mats = {}
-        for key, rows in matrices.items():
-            pair = _overlap_key(path, key)
-            if not (
-                isinstance(rows, list)
-                and all(isinstance(row, list) and all(isinstance(txt, str) for txt in row) for row in rows)
-            ):
-                raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
-            table = standard_chart(pair[1]).table
-            mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
-        for pair in CYCLIC:
-            if pair not in mats:
-                raise UsageError(f"{path}: matrices key {_pair_str(pair)!r} is missing")
-        return build_generic(MatrixCocycle(mats), lam), lam
-    raise UsageError(f"unknown family {family!r}")
+    if not path:
+        raise UsageError("--matrix-json FILE is required with --family generic")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply to read") from None
+    matrices = data.get("matrices") if isinstance(data, dict) else None
+    if not isinstance(matrices, dict):
+        raise UsageError(f'{path}: expected a JSON object with a "matrices" object')
+    mats = {}
+    for key, rows in matrices.items():
+        pair = _overlap_key(path, key)
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and all(isinstance(txt, str) for txt in row) for row in rows)
+        ):
+            raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
+        table = standard_chart(pair[1]).table
+        mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
+    for pair in CYCLIC:
+        if pair not in mats:
+            raise UsageError(f"{path}: matrices key {_pair_str(pair)!r} is missing")
+    return build_generic(MatrixCocycle(mats), lam), lam
 
 
 def _overlap_key(path: str, key: str) -> tuple[int, int]:
@@ -310,9 +309,19 @@ def _cmd_parse(args):
     return "value", details
 
 
+def _seed() -> int:
+    """The selftest seed: SUPERGEO_SEED, read as an integer option is, else the default."""
+    text = os.environ.get("SUPERGEO_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return _int(text)
+    except (UsageError, ValueError):  # ValueError: not a number, or over int()'s digit limit
+        raise UsageError(f"SUPERGEO_SEED must be an integer in ASCII digits, got {text!r}") from None
+
+
 def _cmd_selftest(args):
-    seed = int(os.environ.get("SUPERGEO_SEED", DEFAULT_SEED))
-    rep = run_all(seed=seed, total_cases=args.cases)
+    rep = run_all(seed=_seed(), total_cases=args.cases)
     return ("pass" if rep["ok"] else "fail"), rep
 
 
@@ -383,12 +392,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def run(argv) -> tuple[int, dict]:
-    """Execute argv; return (exit_code, report)."""
+def run(argv, on_parse=None) -> tuple[int, dict]:
+    """Execute argv; return (exit_code, report).
+
+    `on_parse`, when given, is called with the parsed arguments once argv parses.
+    """
     parser = _build_parser()
     report = {"version": __version__, "exact": True}
     try:
         args = parser.parse_args(argv)
+        if on_parse is not None:
+            on_parse(args)
         report["command"] = args.command
         report["inputs"] = {
             k: (str(v) if isinstance(v, Fraction) else v)
@@ -412,9 +426,10 @@ def run(argv) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    code, report = run(argv)
-    if "command" in report:  # argv parsed: follow the parsed flag, abbreviated or not
-        as_json = _build_parser().parse_args(argv).json
+    parsed = []
+    code, report = run(argv, parsed.append)
+    if parsed:  # argv parsed: follow the parsed flag, abbreviated or not
+        as_json = parsed[0].json
     else:  # look for the flag among the options, before any "--"
         as_json = "--json" in (argv[: argv.index("--")] if "--" in argv else argv)
     if as_json:

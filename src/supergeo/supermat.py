@@ -3,7 +3,9 @@
 A SuperMatrix is [[A, B], [C, D]] with even blocks A (p x r), D (q x s) and
 odd blocks B (p x s), C (q x r): entry parities follow row/column parities.
 Everything is exact; inverses exist whenever the relevant even determinants
-are units (single-term body), which is checked by invert_unit itself.
+are units (single-term body), which is checked by invert_unit itself.  Even
+determinants and inverses are taken of 1x1 and 2x2 blocks only: the 2|2
+Jacobians and the 1|1 big-cell minors the atlases use.
 """
 
 from __future__ import annotations
@@ -22,17 +24,11 @@ def _grid_shape(grid) -> tuple[int, int]:
     return rows, cols
 
 
-def _zeros(table: VarTable, rows: int, cols: int) -> Grid:
-    return [[SuperElem.zero(table) for _ in range(cols)] for _ in range(rows)]
-
-
-def _mm(x: Grid, y: Grid, table: VarTable) -> Grid:
+def _mm(x: Grid, y: Grid) -> Grid:
     rx, cx = _grid_shape(x)
     ry, cy = _grid_shape(y)
     if cx != ry:
         raise SuperError(f"block shapes do not compose: {rx}x{cx} * {ry}x{cy}")
-    if cx == 0:
-        return _zeros(table, rx, cy)
     out = []
     for row in x:
         out_row = []
@@ -57,88 +53,60 @@ def _mneg(x: Grid) -> Grid:
     return [[-a for a in row] for row in x]
 
 
-def det_even(grid: Grid, table: VarTable | None = None) -> SuperElem:
-    """Determinant of a square grid of even elements (Laplace expansion; a 2x2
-    grid is ad - bc).
+def det_even(grid: Grid) -> SuperElem:
+    """Determinant of a 1x1 or 2x2 grid of even elements (a 2x2 grid is ad - bc).
 
-    Even elements commute with everything, so this is ordinary commutative
-    linear algebra carried out exactly in the algebra.
+    These are the only sizes the atlases take: the even blocks of 2|2
+    Jacobians and the 1|1 pivot minors of the big cells.  Even elements
+    commute with everything, so this is ordinary commutative algebra.
     """
     n, m = _grid_shape(grid)
     if n != m:
         raise SuperError(f"determinant of non-square {n}x{m} block")
-    if n == 0:
-        if table is None:
-            raise SuperError("empty determinant needs an explicit table")
-        return SuperElem.one(table)
-    table = grid[0][0].table
+    if n not in (1, 2):
+        raise SuperError(f"determinant of a {n}x{n} block: only 1x1 and 2x2 are supported")
     for row in grid:
         for entry in row:
             if not entry.is_even():
                 raise SuperError("det_even entry is not even")
     if n == 1:
         return grid[0][0]
-    if n == 2:
-        (a, b), (c, d) = grid
-        return a * d - b * c
-    out = SuperElem.zero(table)
-    for j in range(n):
-        if grid[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        cof = grid[0][j] * det_even(minor)
-        out = out + (cof if j % 2 == 0 else -cof)
-    return out
+    (a, b), (c, d) = grid
+    return a * d - b * c
 
 
-def _inv_even(grid: Grid, table: VarTable, det_inv: SuperElem | None = None) -> Grid:
-    """Inverse of a square even block via the adjugate; det must be a unit.
+def _inv_even(grid: Grid, det_inv: SuperElem | None = None) -> Grid:
+    """Inverse of a 1x1 or 2x2 even block via the adjugate; det must be a unit.
 
     `det_inv`, when given, is the inverse of det(grid), already computed.
     """
-    n, _ = _grid_shape(grid)
-    if n == 0:
-        return []
     if det_inv is None:
-        det_inv = invert_unit(det_even(grid, table))
-    if n == 1:
+        det_inv = invert_unit(det_even(grid))
+    if len(grid) == 1:
         return [[det_inv]]
-    if n == 2:
-        (a, b), (c, d) = grid
-        return [[d * det_inv, -b * det_inv], [-c * det_inv, a * det_inv]]
-    out = _zeros(table, n, n)
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(grid) if k != j]
-            cof = det_even(minor, table)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[i][j] = cof * det_inv
-    return out
+    (a, b), (c, d) = grid
+    return [[d * det_inv, -b * det_inv], [-c * det_inv, a * det_inv]]
 
 
 class SuperMatrix:
-    """Exact block supermatrix [[A, B], [C, D]]."""
+    """Exact block supermatrix [[A, B], [C, D]].
+
+    Every block is given with its full shape, and every entry is checked for
+    its block's parity and table when the matrix is built.
+    """
 
     __slots__ = ("table", "A", "B", "C", "D", "p", "q", "r", "s")
 
-    def __init__(self, table: VarTable, A: Grid, B: Grid, C: Grid, D: Grid, check: bool = True):
+    def __init__(self, table: VarTable, A: Grid, B: Grid, C: Grid, D: Grid):
         self.table = table
         self.A, self.B, self.C, self.D = A, B, C, D
         self.p, self.r = _grid_shape(A)
         self.q, self.s = _grid_shape(D)
-        pb, sb = _grid_shape(B) if B else (self.p, self.s)
-        qc, rc = _grid_shape(C) if C else (self.q, self.r)
-        if B and (pb, sb) != (self.p, self.s):
+        if _grid_shape(B) != (self.p, self.s):
             raise SuperError("B block shape mismatch")
-        if C and (qc, rc) != (self.q, self.r):
+        if _grid_shape(C) != (self.q, self.r):
             raise SuperError("C block shape mismatch")
-        if not B:
-            self.B = _zeros(table, self.p, self.s)
-        if not C:
-            self.C = _zeros(table, self.q, self.r)
-        if check:
-            self._check_parity()
+        self._check_parity()
 
     def _check_parity(self):
         for block, even in ((self.A, True), (self.D, True), (self.B, False), (self.C, False)):
@@ -179,11 +147,11 @@ def matmul(x: SuperMatrix, y: SuperMatrix) -> SuperMatrix:
             f"grading mismatch: {x.p}|{x.q} x {x.r}|{x.s} times {y.p}|{y.q} x {y.r}|{y.s}"
         )
     t = x.table
-    A = _madd(_mm(x.A, y.A, t), _mm(x.B, y.C, t))
-    B = _madd(_mm(x.A, y.B, t), _mm(x.B, y.D, t))
-    C = _madd(_mm(x.C, y.A, t), _mm(x.D, y.C, t))
-    D = _madd(_mm(x.C, y.B, t), _mm(x.D, y.D, t))
-    return SuperMatrix(t, A, B, C, D, check=False)
+    A = _madd(_mm(x.A, y.A), _mm(x.B, y.C))
+    B = _madd(_mm(x.A, y.B), _mm(x.B, y.D))
+    C = _madd(_mm(x.C, y.A), _mm(x.D, y.C))
+    D = _madd(_mm(x.C, y.B), _mm(x.D, y.D))
+    return SuperMatrix(t, A, B, C, D)
 
 
 def _require_square(x: SuperMatrix):
@@ -199,16 +167,16 @@ def inverse(x: SuperMatrix) -> SuperMatrix:
     """
     _require_square(x)
     t = x.table
-    Dinv = _inv_even(x.D, t)
-    BDinv = _mm(x.B, Dinv, t)
-    S = _msub(x.A, _mm(BDinv, x.C, t))
-    Sinv = _inv_even(S, t)
-    DinvCSinv = _mm(_mm(Dinv, x.C, t), Sinv, t)
+    Dinv = _inv_even(x.D)
+    BDinv = _mm(x.B, Dinv)
+    S = _msub(x.A, _mm(BDinv, x.C))
+    Sinv = _inv_even(S)
+    DinvCSinv = _mm(_mm(Dinv, x.C), Sinv)
     A = Sinv
-    B = _mneg(_mm(Sinv, BDinv, t))
+    B = _mneg(_mm(Sinv, BDinv))
     C = _mneg(DinvCSinv)
-    D = _madd(Dinv, _mm(DinvCSinv, BDinv, t))
-    return SuperMatrix(t, A, B, C, D, check=False)
+    D = _madd(Dinv, _mm(DinvCSinv, BDinv))
+    return SuperMatrix(t, A, B, C, D)
 
 
 def berezinian(x: SuperMatrix) -> SuperElem:
@@ -217,11 +185,10 @@ def berezinian(x: SuperMatrix) -> SuperElem:
     det(D) and its inverse are computed once and D^{-1} reuses them.
     """
     _require_square(x)
-    t = x.table
-    det_d_inv = invert_unit(det_even(x.D, t))
-    Dinv = _inv_even(x.D, t, det_d_inv)
-    S = _msub(x.A, _mm(_mm(x.B, Dinv, t), x.C, t))
-    return det_even(S, t) * det_d_inv
+    det_d_inv = invert_unit(det_even(x.D))
+    Dinv = _inv_even(x.D, det_d_inv)
+    S = _msub(x.A, _mm(_mm(x.B, Dinv), x.C))
+    return det_even(S) * det_d_inv
 
 
 def standard_form(z: SuperMatrix, pivot: int) -> SuperMatrix:
@@ -234,5 +201,5 @@ def standard_form(z: SuperMatrix, pivot: int) -> SuperMatrix:
     if z.p != 1 or z.q != 1:
         raise SuperError("pivot minor is not square against the row grading")
     A, B, C, D = ([[row[pivot]] for row in block] for block in (z.A, z.B, z.C, z.D))
-    minor = SuperMatrix(z.table, A, B, C, D, check=False)
+    minor = SuperMatrix(z.table, A, B, C, D)
     return matmul(inverse(minor), z)

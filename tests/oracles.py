@@ -19,8 +19,8 @@ rescaling ``rescale_odd``, map composition ``compose`` with ``identity_map``,
 and ``omega_cocycle_sum_composed``, the omega-cocycle sum pushed through the
 full Jacobians of the composed maps to chart 0.
 It imports what it needs from ``supergeo.superalg``, ``supergeo.supermat``
-(including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub``,
-``_require_square`` and ``_zeros``), ``supergeo.atlas`` and ``supergeo.families``.
+(including the private matrix helpers ``_inv_even``, ``_mm``, ``_msub`` and
+``_require_square``), ``supergeo.atlas`` and ``supergeo.families``.
 """
 
 from fractions import Fraction
@@ -28,7 +28,7 @@ from itertools import permutations
 
 from supergeo import SuperElem, VarTable, parse
 from supergeo.superalg import SuperError, deriv_odd_left, format_elem, invert_unit, substitute
-from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, _zeros, det_even
+from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_square, det_even
 from supergeo.atlas import (
     CYCLIC,
     Atlas,
@@ -297,23 +297,26 @@ def j_degrees(a: SuperElem) -> set[int]:
 
 def identity_matrix(table: VarTable, p: int, q: int) -> SuperMatrix:
     """The p|q identity matrix (was the classmethod SuperMatrix.identity)."""
-    A = _zeros(table, p, p)
-    D = _zeros(table, q, q)
+
+    def zeros(rows, cols):
+        return [[SuperElem.zero(table) for _ in range(cols)] for _ in range(rows)]
+
+    A = zeros(p, p)
+    D = zeros(q, q)
     for i in range(p):
         A[i][i] = SuperElem.one(table)
     for i in range(q):
         D[i][i] = SuperElem.one(table)
-    return SuperMatrix(table, A, _zeros(table, p, q), _zeros(table, q, p), D, check=False)
+    return SuperMatrix(table, A, zeros(p, q), zeros(q, p), D)
 
 
 
 def berezinian_alt(x: SuperMatrix) -> SuperElem:
     """Cross-check route: Ber X = det(A) * det(D - C A^{-1} B)^{-1}."""
     _require_square(x)
-    t = x.table
-    Ainv = _inv_even(x.A, t)
-    S = _msub(x.D, _mm(_mm(x.C, Ainv, t), x.B, t))
-    return det_even(x.A, t) * invert_unit(det_even(S, t))
+    Ainv = _inv_even(x.A)
+    S = _msub(x.D, _mm(_mm(x.C, Ainv), x.B))
+    return det_even(x.A) * invert_unit(det_even(S))
 
 
 
@@ -367,7 +370,7 @@ def invert_map(f: TransitionMap) -> TransitionMap:
                 raise SuperError(f"odd assignment for {tname!r} is not linear in the odd variables")
         even_part = {n: g_assignment[n] for n in src.table.even}
         Mt = [[substitute(entry, even_part) for entry in row] for row in M]
-        Minv = _inv_even(Mt, tgt.table)  # adjugate inverse over the algebra
+        Minv = _inv_even(Mt)  # adjugate inverse over the algebra
         for k, sname in enumerate(src.table.odd):
             acc = SuperElem.zero(tgt.table)
             for l, tname in enumerate(tgt.table.odd):

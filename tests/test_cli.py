@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from supergeo import cech
+from supergeo import cech, cli
 from supergeo.cli import _build_parser, _int, main, run
 from supergeo.selfcheck import MAX_CASES
 
@@ -385,6 +385,14 @@ def test_generic_family_unreadable_json_names_the_file(tmp_path, content, reason
     assert rep["details"]["error"].startswith(f"{path}: {reason}")
 
 
+@pytest.mark.parametrize("family", ["decomposable", "omega1", "pi-plane"])
+def test_matrix_json_with_another_family_is_usage_error(family):
+    # refused before the file is opened, so a missing file is not what is reported
+    code, rep = report_of(["verify-atlas", "--family", family, "--matrix-json", "/nonexistent.json"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == f"--matrix-json is read only with --family generic, not --family {family}"
+
+
 # ---------------------------------------------------------------------------
 # parse and selftest commands
 # ---------------------------------------------------------------------------
@@ -502,6 +510,16 @@ def test_selftest_seed_env(monkeypatch):
     assert rep["details"]["seed"] == 123
 
 
+@pytest.mark.parametrize("seed", ["\u0663", "abc", "1" * 5001], ids=["arabic-indic-digit", "not-a-number", "5001-digits"])
+def test_selftest_bad_seed_env_is_usage_error(seed, monkeypatch, capsys):
+    monkeypatch.setenv("SUPERGEO_SEED", seed)
+    code, rep = report_of(["selftest", "--cases", "7"])
+    assert (code, rep["outcome"]) == (2, "usage-error")
+    assert rep["details"]["error"] == f"SUPERGEO_SEED must be an integer in ASCII digits, got {seed!r}"
+    assert main(["selftest", "--cases", "7"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report shape and determinism
 # ---------------------------------------------------------------------------
@@ -535,6 +553,24 @@ def test_main_text_output(capsys):
 def test_main_follows_an_abbreviated_json_flag(capsys):
     assert main(["sym-rank", "--k", "2", "--js"]) == 0
     assert json.loads(capsys.readouterr().out)["details"] == {"k": 2, "even": 4, "odd": 4}
+
+
+@pytest.mark.parametrize(
+    "argv, outcome",
+    [(["sym-rank", "--k", "2", "--js"], "value"), (["sym-rank", "--json"], "usage-error")],
+    ids=["parsed", "unparsed"],
+)
+def test_main_builds_one_parser(argv, outcome, monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(None)
+        return _build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    main(argv)
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out)["outcome"] == outcome
 
 
 def test_main_reads_json_after_double_dash_as_the_expression(capsys):

@@ -20,6 +20,7 @@ from supergeo import (
     standard_form,
 )
 from supergeo.families import big_cell
+from supergeo.supermat import _inv_even
 from supergeo.selfcheck import TABLE, random_supermatrix
 
 from oracles import berezinian_alt, identity_matrix, perm_det
@@ -115,9 +116,17 @@ def even_grids(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(even_grids))
+@given(st.sampled_from([1, 2]).flatmap(even_grids))
 def test_det_matches_permutation_expansion(grid):
     assert det_even(grid) == perm_det(grid)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_det_and_inverse_refuse_other_sizes(n):
+    grid = [[SuperElem.one(T) if i == j else SuperElem.zero(T) for j in range(n)] for i in range(n)]
+    for fn in (det_even, _inv_even):
+        with pytest.raises(SuperError, match=f"{n}x{n} block"):
+            fn(grid)
 
 
 @settings(max_examples=20, deadline=None)
