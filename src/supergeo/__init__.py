@@ -43,7 +43,6 @@ from .cech import (
     CohClass,
     basis_top,
     bott,
-    class_in_top,
     default_picard_lift,
     euler_char,
     h1_tangent,

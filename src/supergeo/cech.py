@@ -16,18 +16,18 @@ from math import comb, factorial, prod
 from operator import sub
 
 from . import families
-from .superalg import SuperElem, SuperError, deriv_even, format_elem, int_digit_limit, printable, substitute
+from .superalg import SuperElem, SuperError, format_elem, int_digit_limit, printable, substitute
 from .atlas import (
     AFFINE,
     CYCLIC,
     HOM,
     Atlas,
     MatrixCocycle,
+    TransitionMap,
     affine_indices,
     cycle_product,
     even_remainder_derivation,
     pivot_power,
-    standard_chart,
 )
 
 
@@ -180,29 +180,11 @@ class CohClass:
         return f"CohClass(H^{self.q}(O({self.k})) on P^{self.n}: {body})"
 
 
-def class_in_top(n: int, k: int, section: SuperElem, frame_sign: int = 1) -> CohClass:
-    """Represent a chart-0 J-degree-2 section as a class in H^n(O(k)).
-
-    The section must be a multiple of t10*t20 over the chart-0 table; it is
-    read on chart 0 with t10*t20 = frame_sign * X0^k, which sends
-    z10^a z20^b t10 t20 to frame_sign * X0^{k-a-b} X1^a X2^b.  Monomials that
-    are not totally negative are Cech coboundaries on the triple overlap and
-    are projected away.
-    """
-    if n != 2:
-        raise ValueError("class_in_top is implemented for the 3-chart cover of P^2")
-    if section.table != standard_chart(0).table:
-        raise SuperError("class_in_top needs a section written over the chart-0 table")
-    return _top_class(k, _homogenize(section, 0, frame_sign, k))
-
-
-def _homogenize(section: SuperElem, j: int, frame_sign: int, k: int = -3) -> SuperElem:
+def _homogenize(section: SuperElem, j: int, frame_sign: int) -> SuperElem:
     """Read a chart-j section g*t1j*t2j as the Laurent form over HOM.
 
-    With z_mj = X_c/X_j and t1j*t2j = frame_sign * X_j^k the section becomes
-    frame_sign * g(X_c/X_j) * X_j^k.  At k = -3 this is the chart-j form of
-    Sym^2 F = K_{P^2}, the frame identification both connecting maps read
-    their J-degree-2 data through.
+    With z_mj = X_c/X_j and t1j*t2j = frame_sign * X_j^-3, the chart-j form of
+    Sym^2 F = K_{P^2}, the section becomes frame_sign * g(X_c/X_j) * X_j^-3.
     """
     full_mask = (1 << len(section.table.odd)) - 1
     if any(mask != full_mask for _, mask in section.terms):
@@ -212,12 +194,12 @@ def _homogenize(section: SuperElem, j: int, frame_sign: int, k: int = -3) -> Sup
     g = SuperElem(section.table, {(exps, 0): c for (exps, _), c in section.terms.items()})
     x = [SuperElem.var(HOM, name) for name in HOM.even]
     images = {name: x[c] / x[j] for name, c in zip(section.table.even, affine_indices(j))}
-    return substitute(g, images) * x[j] ** k * frame_sign
+    return substitute(g, images) * x[j] ** -3 * frame_sign
 
 
-def _top_class(k: int, form: SuperElem) -> CohClass:
-    """The class in H^2(O(k)) of a Laurent form over HOM: its totally negative part."""
-    return CohClass(2, k, 2, {exps: c for (exps, _), c in form.terms.items() if max(exps) <= -1})
+def _top_class(form: SuperElem) -> CohClass:
+    """The class in H^2(O(-3)) of a Laurent form over HOM: its totally negative part."""
+    return CohClass(2, -3, 2, {exps: c for (exps, _), c in form.terms.items() if max(exps) <= -1})
 
 
 # -- connecting maps on the 2|2 atlases ---------------------------------------
@@ -253,7 +235,7 @@ def picard_delta(atlas: Atlas, lifts: MatrixCocycle | None = None) -> CohClass:
         raise SuperError(
             f"lift reductions do not form a cocycle; product is {format_elem(product.body())} mod J"
         )
-    return class_in_top(2, -3, remainder, frame_signs[0])
+    return _top_class(_homogenize(remainder, 0, frame_signs[0]))
 
 
 def obstruction_delta(atlas: Atlas) -> CohClass:
@@ -278,37 +260,15 @@ def obstruction_delta(atlas: Atlas) -> CohClass:
     f = [comp / x[c] for c, comp in enumerate(components)]
     if any(fc != f[0] for fc in f):
         raise SuperError("obstruction lift is not a multiple of the Euler field")
-    return _top_class(-3, f[0])
+    return _top_class(f[0])
 
 
 def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
-    """Read the three deformation derivations on chart 0 and sum them.
-
-    Each overlap (i <- j) contributes the derivation with the J-degree-2 even
-    remainders as coefficients (over chart j) on the chart-i coordinate
-    fields.  Coefficients are read on chart 0 along the atlas walk.  A field
-    d/dz of chart i is pushed to chart 0 as d/dz of chart 0's coordinates over
-    chart i, (0<-1) over chart 1 and (0<-1)(1<-2) over chart 2, differentiated
-    only in the fields that carry a coefficient and read along the walk too.
-    The sum of a true cocycle is the zero derivation.
-    """
-    walk = atlas.walk()
-    table = atlas.charts[0].table
-    to0: dict[int, dict[str, SuperElem]] = {}  # chart 0's coordinates over the other charts
-    for i, j in CYCLIC[:-1]:
-        step = atlas.map(i, j).assignment
-        to0[j] = {name: substitute(e, step) for name, e in to0[i].items()} if i in to0 else step
-    total = {name: SuperElem.zero(table) for name in table.names}
-    for i, j in CYCLIC:
-        for sname, coeff in even_remainder_derivation(atlas.map(i, j)).items():
-            if coeff.is_zero():
-                continue
-            field = substitute(coeff, walk[j]) if j in to0 else coeff  # chart 0's own as it stands
-            if i not in to0:  # a field of chart 0 itself
-                total[sname] = total[sname] + field
-                continue
-            for tname, coord in to0[i].items():
-                d = deriv_even(coord, sname)
-                if not d.is_zero():
-                    total[tname] = total[tname] + substitute(d, walk[i]) * field
-    return total
+    """The three deformation derivations summed on chart 0, zero for a true
+    cocycle: the J-degree-2 part of the loop, and zero on the odd coordinates.
+    Walking (0<-1)(1<-2)(2<-0) adds each overlap's J-degree-2 remainder, pushed
+    to chart 0 by the chain rule, to the even coordinates; a product of two
+    remainders lies in J^4 = 0, and an odd coordinate gains nothing."""
+    chart = atlas.charts[0]
+    total = even_remainder_derivation(TransitionMap(chart, chart, atlas.walk()[0]))
+    return total | {name: SuperElem.zero(chart.table) for name in chart.odd}

@@ -14,7 +14,7 @@ import sys
 from fractions import _RATIONAL_FORMAT, Fraction
 
 from . import __version__
-from .superalg import SuperError, format_elem, int_digit_limit, parse, printable, truncate_J
+from .superalg import ParseError, SuperError, _tokenize, format_elem, int_digit_limit, parse, printable, truncate_J
 from .atlas import (
     CHARTS,
     CYCLIC,
@@ -296,6 +296,16 @@ def _cmd_parse(args):
         if "=" not in item:
             raise UsageError(f"--bind needs NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
+        try:  # the grammar's own identifier rule: all of NAME is one identifier token
+            identifier = _tokenize(name)[:-1] == [("ident", name, 0)]
+        except ParseError:  # a character that starts no token
+            identifier = False
+        if not identifier:
+            raise UsageError(f"--bind {item!r}: {name!r} is not an identifier")
+        if name in table.names:  # the expression would read the variable, not the binding
+            raise UsageError(f"--bind {item!r}: {name} is a variable of table {args.table}")
+        if name in bindings:
+            raise UsageError(f"--bind {item!r}: {name} is already bound")
         bindings[name] = _fraction(value)
     elem = parse(args.expr, table, bindings)
     canonical = format_elem(elem)

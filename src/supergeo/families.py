@@ -134,17 +134,19 @@ def _det_twist(powers) -> int:
 
 
 def _frame_signs(powers) -> dict[int, int]:
-    """Constant rebasing s with s_i/s_j = sign(det M_{i<-j}), anchored s_1 = +1.
+    """Constant rebasing s with s_i/s_j = sign(det M_{i<-j}): s = +1 on the
+    source chart of the first CYCLIC overlap, then solved round the loop.
 
     Such s exists exactly when the three det signs multiply to +1.  After
     rescaling the first odd frame of chart i by s_i, every det becomes
-    +1/pivot^3; the anchor s_1 = +1 keeps the (0<-1) deformation term with a
-    plus sign.
+    +1/pivot^3; the anchor keeps the first overlap's deformation term with a plus sign.
     """
     eps = {pair: sign for pair, (sign, _k) in powers.items()}
-    s = {1: 1, 0: eps[(0, 1)], 2: eps[(1, 2)]}
-    if eps[(2, 0)] != s[2] * s[0]:
-        raise SuperError(f"det signs {eps} are not a coboundary; no O(k) identification")
+    s = {CYCLIC[0][1]: 1}
+    for i, j in CYCLIC[1:] + CYCLIC[:1]:  # from the anchor round the loop and back to it
+        s_j = eps[(i, j)] * s[i]  # the signs are +-1, so s_i / eps_ij = eps_ij * s_i
+        if s.setdefault(j, s_j) != s_j:  # back on the anchor, the loop must close
+            raise SuperError(f"det signs {eps} are not a coboundary; no O(k) identification")
     return s
 
 
@@ -169,7 +171,7 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 
     Validates the cocycle invariants first (`_validate`).  The deformation
     term on overlap (i<-j) is lam * s_j * t1j*t2j / pivot^2 with the frame
-    signs s solved from the det signs (s_1 = +1), added to the corrected
+    signs s solved from the det signs (`_frame_signs`), added to the corrected
     coordinate.
     """
     lam = Fraction(lam)

@@ -17,7 +17,6 @@ from supergeo import (
     basis_top,
     bott,
     check_cocycle_loop,
-    class_in_top,
     default_picard_lift,
     euler_char,
     format_elem,
@@ -32,9 +31,10 @@ from supergeo import (
     serre_dual_params,
     standard_chart,
     substitute,
+    truncate_J,
 )
 from supergeo.atlas import CYCLIC
-from supergeo.cech import MAX_BASIS, _comb, _homogenize
+from supergeo.cech import MAX_BASIS, _comb, _homogenize, _top_class
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane, decomposable_cocycle, frame_signs
 
 from oracles import count_h0, count_hn, j2_shift, omega_cocycle_sum_composed, rescale_odd
@@ -236,42 +236,37 @@ def test_cohclass_to_dict():
     assert c.to_dict() == {"X0^-1*X1^-1*X2^-1": "3/2"}
 
 
+# A chart-0 section's class in the top cohomology H^2(O(-3)): the section read
+# as a Laurent form with t10*t20 = s_0 * X0^-3, then its totally negative part.
+
+
+def class_in_top(section: SuperElem, frame_sign: int = 1) -> CohClass:
+    return _top_class(_homogenize(section, 0, frame_sign))
+
+
 def test_class_in_top_generator():
     section = parse("t10*t20/(z10*z20)", T0)
-    c = class_in_top(2, -3, section)
+    c = class_in_top(section)
+    assert (c.n, c.k, c.q) == (2, -3, 2)
     assert c.coeffs == {(-1, -1, -1): Fraction(1)}
 
 
 def test_class_in_top_coboundary_dies():
-    assert class_in_top(2, -3, parse("z10*t10*t20", T0)).is_zero()
-    assert class_in_top(2, -3, SuperElem.zero(T0)).is_zero()
+    assert class_in_top(parse("z10*t10*t20", T0)).is_zero()
+    assert class_in_top(SuperElem.zero(T0)).is_zero()
+    # the last two terms read as monomials with a zero exponent: coboundaries
+    section = parse("t10*t20/(z10*z20) + t10*t20/z20 + 2*t10*t20", T0)
+    assert class_in_top(section).coeffs == {(-1, -1, -1): Fraction(1)}
 
 
 def test_class_in_top_frame_sign():
     section = parse("t10*t20/(z10*z20)", T0)
-    assert class_in_top(2, -3, section, frame_sign=-1).coeffs == {
-        (-1, -1, -1): Fraction(-1)
-    }
-
-
-@pytest.mark.parametrize("k, mono", [(-3, (-1, -1, -1)), (-4, (-2, -1, -1)), (-5, (-3, -1, -1))])
-def test_class_in_top_other_degrees(k, mono):
-    # the last two terms read as monomials with a zero exponent: coboundaries
-    section = parse("t10*t20/(z10*z20) + t10*t20/z20 + 2*t10*t20", T0)
-    assert class_in_top(2, k, section).coeffs == {mono: Fraction(1)}
+    assert class_in_top(section, frame_sign=-1).coeffs == {(-1, -1, -1): Fraction(-1)}
 
 
 def test_class_in_top_rejects_wrong_degree():
-    with pytest.raises(SuperError):
-        class_in_top(2, -3, parse("t10", T0))
-    with pytest.raises(ValueError):
-        class_in_top(1, -2, parse("t10*t20", T0))
-
-
-def test_class_in_top_rejects_a_section_over_another_chart():
-    section = parse("t11*t21/(z11*z21)", standard_chart(1).table)
-    with pytest.raises(SuperError, match="chart-0 table"):
-        class_in_top(2, -3, section)
+    with pytest.raises(SuperError, match="not a pure J-degree-2 multiple of the odd frame"):
+        class_in_top(parse("t10", T0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +360,12 @@ OMEGA_ATLASES = {
     "decomposable-1-j2-shifted": lambda: j2_shift(build_decomposable(Fraction(1)), J2_SHIFTS),
     "omega1-3/2-j2-shifted": lambda: j2_shift(build_omega1(Fraction(3, 2)), J2_SHIFTS),
     "decomposable-corrupted": lambda: corrupted_decomposable(),
+    # F is not a cocycle: (2<-0) doubles t12, so the loop moves t10, t20 and z10
+    "omega1-3/2-odd-block-broken": lambda: corrupted(build_omega1(Fraction(3, 2)), (2, 0), "t12", "-2*z20^-2*t20"),
+    # the reduced loop is not the identity: (0<-1) adds z21 to z10
+    "decomposable-3/2-reduced-broken": lambda: corrupted(
+        build_decomposable(Fraction(3, 2)), (0, 1), "z10", "z11^-1 + z21"
+    ),
 }
 
 
@@ -382,14 +383,35 @@ def test_j2_shift_keeps_the_loop_and_moves_the_maps():
     assert all(v.is_zero() for v in omega_cocycle_sum(shifted).values())
 
 
+def corrupted(atlas: Atlas, pair: tuple[int, int], name: str, text: str) -> Atlas:
+    """atlas with the assignment of `name` on overlap `pair` replaced by `text`."""
+    i, j = pair
+    bad = dict(atlas.map(i, j).assignment)
+    bad[name] = parse(text, standard_chart(j).table)
+    maps = dict(atlas.maps)
+    maps[pair] = TransitionMap(standard_chart(j), standard_chart(i), bad)
+    return Atlas(atlas.charts.values(), maps)
+
+
 def corrupted_decomposable() -> Atlas:
     """build_decomposable(1) with the deformation sign of (0<-1) flipped."""
-    atlas = build_decomposable(Fraction(1))
-    bad = dict(atlas.map(0, 1).assignment)
-    bad["z20"] = parse("z21/z11 - t11*t21/z11^2", standard_chart(1).table)
-    maps = dict(atlas.maps)
-    maps[(0, 1)] = TransitionMap(standard_chart(1), standard_chart(0), bad)
-    return Atlas(atlas.charts.values(), maps)
+    return corrupted(build_decomposable(Fraction(1)), (0, 1), "z20", "z21/z11 - t11*t21/z11^2")
+
+
+@pytest.mark.parametrize(
+    "name, residual",
+    [("omega1-3/2-odd-block-broken", "t10"), ("decomposable-3/2-reduced-broken", "z10")],
+)
+def test_broken_atlases_have_a_nonzero_omega_sum(name, residual):
+    """Each broken atlas fails its loop where its name says, and the J-degree-2
+    part of the loop it reads as the omega sum is not zero."""
+    atlas = OMEGA_ATLASES[name]()
+    loop = check_cocycle_loop(atlas)
+    assert residual in loop.nonzero()
+    assert truncate_J(loop.residuals[residual], 2) != SuperElem.zero(T0)
+    total = omega_cocycle_sum(atlas)
+    assert {k for k, v in total.items() if not v.is_zero()} == {"z10"}
+    assert all(total[k].is_zero() for k in T0.odd)
 
 
 def test_connecting_maps_on_a_corrupted_atlas():

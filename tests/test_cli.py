@@ -408,6 +408,34 @@ def test_parse_command():
     assert rep["details"]["roundtrip_ok"] is True
 
 
+BIND_REFUSALS = [
+    (["z10", "--bind", "z10=2"], "--bind 'z10=2': z10 is a variable of table 0"),
+    (["X1", "--table", "hom", "--bind", "X1=2"], "--bind 'X1=2': X1 is a variable of table hom"),
+    (["l", "--bind", "l=3", "--bind", "l=4"], "--bind 'l=4': l is already bound"),
+    (["l", "--bind", "=3"], "--bind '=3': '' is not an identifier"),
+    (["l", "--bind", "l"], "--bind needs NAME=VALUE, got 'l'"),
+    (["l", "--bind", "2l=3"], "--bind '2l=3': '2l' is not an identifier"),
+    (["l", "--bind", " l=3"], "--bind ' l=3': ' l' is not an identifier"),
+    (["l", "--bind", "l m=3"], "--bind 'l m=3': 'l m' is not an identifier"),
+    (["l", "--bind", "l-m=3"], "--bind 'l-m=3': 'l-m' is not an identifier"),
+    (["l", "--bind", "l$=3"], "--bind 'l$=3': 'l$' is not an identifier"),
+]
+
+
+@pytest.mark.parametrize("argv, error", BIND_REFUSALS, ids=[argv[-1] for argv, _ in BIND_REFUSALS])
+def test_parse_command_refuses_a_binding_it_would_drop_or_cannot_read(argv, error):
+    code, rep = report_of(["parse", *argv])
+    assert (code, rep["outcome"], rep["details"]["error"]) == (2, "usage-error", error)
+
+
+def test_parse_command_keeps_unused_and_non_ascii_names():
+    # a name the text never reads, a variable of another table, and a letter
+    # of another script all follow the grammar's identifier rule
+    argv = ["parse", "2*\u03bb + z10", "--bind", "a=1", "--bind", "z11=5", "--bind", "\u03bb=3/2", "--bind", "_b2=0"]
+    code, rep = report_of(argv)
+    assert (code, rep["details"]["canonical"]) == (0, "3 + z10")
+
+
 def test_parse_command_leading_minus_after_double_dash():
     code, rep = report_of(["parse", "--", "-z10"])
     assert code == 0
