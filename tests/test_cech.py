@@ -254,9 +254,16 @@ def test_class_in_top_generator():
 def test_class_in_top_coboundary_dies():
     assert class_in_top(parse("z10*t10*t20", T0)).is_zero()
     assert class_in_top(SuperElem.zero(T0)).is_zero()
+
+
+# the twist is fixed at -3 (Sym^2 F = K); only that degree is left to read
+@pytest.mark.parametrize("k, mono", [(-3, (-1, -1, -1))])
+def test_class_in_top_other_degrees(k, mono):
     # the last two terms read as monomials with a zero exponent: coboundaries
     section = parse("t10*t20/(z10*z20) + t10*t20/z20 + 2*t10*t20", T0)
-    assert class_in_top(section).coeffs == {(-1, -1, -1): Fraction(1)}
+    c = class_in_top(section)
+    assert c.k == k
+    assert c.coeffs == {mono: Fraction(1)}
 
 
 def test_class_in_top_frame_sign():
