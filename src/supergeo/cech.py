@@ -153,18 +153,18 @@ def h1_tangent_bott(n: int, k: int) -> int:
 
 
 class CohClass:
-    """An H^q(P^n, O(k)) class on the totally-negative monomial basis."""
+    """An H^2(P^2, O(-3)) class on the totally-negative monomial basis."""
 
-    __slots__ = ("n", "k", "q", "coeffs")
+    __slots__ = ("coeffs",)
+    n, k, q = 2, -3, 2
 
-    def __init__(self, n: int, k: int, q: int, coeffs: dict[tuple[int, ...], Fraction] | None = None):
-        self.n, self.k, self.q = n, k, q
-        self.coeffs = {m: Fraction(c) for m, c in (coeffs or {}).items() if c}
+    def __init__(self, coeffs: dict[tuple[int, ...], Fraction]):
+        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if c}
 
     def __eq__(self, other):
         if other.__class__ is not CohClass:
             return NotImplemented
-        return (self.n, self.k, self.q, self.coeffs) == (other.n, other.k, other.q, other.coeffs)
+        return self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -199,7 +199,7 @@ def _homogenize(section: SuperElem, j: int, frame_sign: int) -> SuperElem:
 
 def _top_class(form: SuperElem) -> CohClass:
     """The class in H^2(O(-3)) of a Laurent form over HOM: its totally negative part."""
-    return CohClass(2, -3, 2, {exps: c for (exps, _), c in form.terms.items() if max(exps) <= -1})
+    return CohClass({exps: c for (exps, _), c in form.terms.items() if max(exps) <= -1})
 
 
 # -- connecting maps on the 2|2 atlases ---------------------------------------

@@ -46,7 +46,7 @@ from .families import (
     normal_forms,
     sym_restricted_rank,
 )
-from .selfcheck import DEFAULT_SEED, MAX_CASES, run_all
+from .selfcheck import DEFAULT_CASES, DEFAULT_SEED, MAX_CASES, run_all
 
 FAMILIES = ("decomposable", "omega1", "pi-plane", "generic")
 
@@ -396,7 +396,7 @@ def _build_parser() -> _Parser:
 
     p = add("selftest", _cmd_selftest, "seeded randomized property suite")
     p.add_argument(
-        "--cases", type=_int, default=None, help=f"total case budget (default 13600, at most {MAX_CASES})"
+        "--cases", type=_int, default=None, help=f"total case budget (default {DEFAULT_CASES}, at most {MAX_CASES})"
     )
 
     return parser

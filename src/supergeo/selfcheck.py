@@ -33,7 +33,7 @@ DEFAULT_SEED = 7152026
 # larger one would run for hours, and one past float range cannot be scaled.
 MAX_CASES = 10**6
 
-# cases per property at --cases 13600 (the default budget)
+# cases per property at the default budget, DEFAULT_CASES
 BUDGET = {
     "supercommutativity": 3000,
     "associativity": 2000,
@@ -43,6 +43,7 @@ BUDGET = {
     "serre_duality": 2000,
     "euler_characteristic": 2000,
 }
+DEFAULT_CASES = sum(BUDGET.values())
 
 
 def _random_term(rng: random.Random, parity=None) -> SuperElem:
@@ -103,48 +104,23 @@ def random_supermatrix(rng: random.Random) -> SuperMatrix:
     return SuperMatrix(TABLE, even_block(), odd_block(), odd_block(), even_block())
 
 
-class PropertyResult:
-    """One property's case count and its first few failures."""
-
-    __slots__ = ("name", "cases", "failures")
-
-    def __init__(self, name: str, cases: int, failures: list | None = None):
-        self.name = name
-        self.cases = cases
-        self.failures = [] if failures is None else failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _record(result: PropertyResult, *items):
-    if len(result.failures) < 3:
-        result.failures.append(" ; ".join(items))
-
-
-def check_supercommutativity(rng, cases) -> PropertyResult:
-    res = PropertyResult("supercommutativity", cases)
+def check_supercommutativity(rng, cases):
     for _ in range(cases):
         pa, pb = rng.randint(0, 1), rng.randint(0, 1)
         a, b = random_elem(rng, pa), random_elem(rng, pb)
         sign = -1 if (pa and pb) else 1
         if a * b != (b * a) * sign:
-            _record(res, format_elem(a), format_elem(b))
-    return res
+            yield format_elem(a), format_elem(b)
 
 
-def check_associativity(rng, cases) -> PropertyResult:
-    res = PropertyResult("associativity", cases)
+def check_associativity(rng, cases):
     for _ in range(cases):
         a, b, c = (random_elem(rng) for _ in range(3))
         if (a * b) * c != a * (b * c):
-            _record(res, format_elem(a), format_elem(b), format_elem(c))
-    return res
+            yield format_elem(a), format_elem(b), format_elem(c)
 
 
-def check_leibniz(rng, cases) -> PropertyResult:
-    res = PropertyResult("leibniz", cases)
+def check_leibniz(rng, cases):
     for n in range(cases):
         pa = rng.randint(0, 1)
         a, b = random_elem(rng, pa), random_elem(rng)
@@ -158,50 +134,41 @@ def check_leibniz(rng, cases) -> PropertyResult:
             sign = -1 if pa else 1
             rhs = deriv_odd_left(a, t) * b + a * deriv_odd_left(b, t) * sign
         if lhs != rhs:
-            _record(res, format_elem(a), format_elem(b))
-    return res
+            yield format_elem(a), format_elem(b)
 
 
-def check_invert_unit(rng, cases) -> PropertyResult:
-    res = PropertyResult("invert_unit", cases)
+def check_invert_unit(rng, cases):
     one = SuperElem.one(TABLE)
     for _ in range(cases):
         u = random_unit(rng)
         inv = invert_unit(u)
         if u * inv != one or inv * u != one or invert_unit(inv) != u:
-            _record(res, format_elem(u))
-    return res
+            yield (format_elem(u),)
 
 
-def check_berezinian_mult(rng, cases) -> PropertyResult:
-    res = PropertyResult("berezinian_mult", cases)
+def check_berezinian_mult(rng, cases):
     for _ in range(cases):
         x, y = random_supermatrix(rng), random_supermatrix(rng)
         if berezinian(matmul(x, y)) != berezinian(x) * berezinian(y):
-            _record(res, repr(x), repr(y))
-    return res
+            yield repr(x), repr(y)
 
 
-def check_serre_duality(rng, cases) -> PropertyResult:
-    res = PropertyResult("serre_duality", cases)
+def check_serre_duality(rng, cases):
     for _ in range(cases):
         n = rng.randint(1, 3)
         k = rng.randint(-12, 12)
         q = rng.randint(0, n)
         if h_line(n, k, q) != h_line(*serre_dual_params(n, k, q)):
-            _record(res, f"n={n} k={k} q={q}")
-    return res
+            yield (f"n={n} k={k} q={q}",)
 
 
-def check_euler_characteristic(rng, cases) -> PropertyResult:
-    res = PropertyResult("euler_characteristic", cases)
+def check_euler_characteristic(rng, cases):
     for _ in range(cases):
         n = rng.randint(1, 3)
         k = rng.randint(-12, 12)
         chi = sum((-1) ** q * h_line(n, k, q) for q in range(n + 1))
         if chi != euler_char(n, k):
-            _record(res, f"n={n} k={k}")
-    return res
+            yield (f"n={n} k={k}",)
 
 
 CHECKS = {
@@ -218,29 +185,28 @@ CHECKS = {
 def run_all(seed: int = DEFAULT_SEED, total_cases: int | None = None) -> dict:
     """Run every property with a deterministic per-property RNG stream.
 
-    `total_cases` (1 to MAX_CASES) rescales the default budget proportionally,
-    keeping at least one case per property.  Returns a JSON-ready report.
+    `total_cases` (1 to MAX_CASES, default DEFAULT_CASES) rescales the default
+    budget proportionally, keeping at least one case per property.  Each check
+    runs all its cases and yields the inputs of every failing one; the
+    JSON-ready report keeps the first three.
     """
-    if total_cases is not None and total_cases < 1:
+    total_cases = DEFAULT_CASES if total_cases is None else total_cases
+    if total_cases < 1:
         raise ValueError(f"the case budget must be at least 1, got {total_cases}")
-    if total_cases is not None and total_cases > MAX_CASES:
+    if total_cases > MAX_CASES:
         raise ValueError(f"the case budget must be at most {MAX_CASES}, got {total_cases}")
-    budget_total = sum(BUDGET.values())
-    scale = 1.0 if total_cases is None else total_cases / budget_total
+    scale = total_cases / DEFAULT_CASES
     t0 = time.monotonic()
-    results = []
+    properties = []
     for name, fn in CHECKS.items():
         cases = max(1, round(BUDGET[name] * scale))
-        rng = random.Random(f"{seed}:{name}")
-        results.append(fn(rng, cases))
+        failures = [" ; ".join(t) for t in fn(random.Random(f"{seed}:{name}"), cases)]
+        properties.append({"name": name, "cases": cases, "failures": failures[:3]})
     elapsed = time.monotonic() - t0
     return {
         "seed": seed,
-        "total_cases": sum(r.cases for r in results),
+        "total_cases": sum(p["cases"] for p in properties),
         "elapsed_seconds": round(elapsed, 3),
-        "ok": all(r.ok for r in results),
-        "properties": [
-            {"name": r.name, "cases": r.cases, "failures": list(r.failures)}
-            for r in results
-        ],
+        "ok": not any(p["failures"] for p in properties),
+        "properties": properties,
     }

@@ -231,9 +231,10 @@ def family_assignments(strings, lam):
 # twist 0 control; `normal_form_map` is the independent check on
 # `normal_form_signs`; `compose_jacobians` is the reference for the graded
 # chain rule; `rescale_odd` makes metamorphic cases (the deformation moves by
-# 1/c^2); `omega_cocycle_sum_composed` is the reference for
-# `omega_cocycle_sum`, which differentiates only the fields that carry a
-# coefficient.
+# 1/c^2); `omega_cocycle_sum_composed`, which pushes each overlap's
+# derivation to chart 0 by the chain rule and differentiates only the fields
+# that carry a coefficient, is the reference for `omega_cocycle_sum`, which
+# reads the J^2 part of the walked loop and differentiates nothing.
 
 
 def identity_map(chart: Chart) -> TransitionMap:
