@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from fractions import _RATIONAL_FORMAT, Fraction
+from fractions import Fraction
 
 from . import __version__
 from .superalg import ParseError, SuperError, _tokenize, format_elem, int_digit_limit, parse, printable, truncate_J
@@ -48,7 +49,8 @@ from .families import (
 )
 from .selfcheck import DEFAULT_CASES, DEFAULT_SEED, MAX_CASES, run_all
 
-FAMILIES = ("decomposable", "omega1", "pi-plane", "generic")
+_NAMED_FAMILIES = {"decomposable": build_decomposable, "omega1": build_omega1}
+FAMILIES = (*_NAMED_FAMILIES, "pi-plane", "generic")
 
 
 class UsageError(Exception):
@@ -80,21 +82,31 @@ def _int(text: str) -> int:
 _int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
+_DIGITS = r"(?:\d+(?:_\d+)*)"  # "_" only between two digits
+_RATIONAL = re.compile(  # the text of --lambda and --bind, with no space around "/"
+    rf"\s*[-+]?(?=\.?\d){_DIGITS}?(?:/{_DIGITS}|(?:\.{_DIGITS}?)?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)\s*"
+)
+
+
 def _fraction(text: str) -> Fraction:
     """A rational from CLI text, refusing one too large to print in a report."""
     _ascii(text)
     limit = int_digit_limit()
-    m = _RATIONAL_FORMAT.match(text)  # the grammar Fraction() itself parses
-    exp = m["exp"].replace("_", "") if m and m["exp"] else "0"
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise UsageError(f"not a rational number: {text!r}")
+    exp = (m["exp"] or "0").replace("_", "")
     # checked before Fraction() spends its time on 10**exponent; lengths first,
     # as int() of a long digit string is slow, or refused
     if len(exp) > limit or abs(int(exp)) > limit:
         raise UsageError(f"exponent of {text!r} exceeds the bound {limit}")
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r} ({exc})") from exc
-    if not printable(value):
+        value = Fraction(text.replace("_", ""))
+    except ZeroDivisionError:
+        raise UsageError(f"not a rational number: {text!r}") from None
+    except ValueError:  # a digit string longer than int() reads
+        value = None
+    if value is None or not printable(value):
         raise UsageError(f"{text!r} has more than {limit} digits in its numerator or denominator")
     return value
 
@@ -115,10 +127,8 @@ def _get_atlas(args):
     if path is not None and family != "generic":
         raise UsageError(f"--matrix-json is read only with --family generic, not --family {family}")
     lam = _fraction(args.lam)
-    if family == "decomposable":
-        return build_decomposable(lam), lam
-    if family == "omega1":
-        return build_omega1(lam), lam
+    if family in _NAMED_FAMILIES:
+        return _NAMED_FAMILIES[family](lam), lam
     if family == "pi-plane":
         if lam != 1:
             raise UsageError("the pi-plane atlas is the lambda = 1 member; use --lambda 1")
@@ -194,36 +204,30 @@ def _cmd_h1_tangent(args):
     return ("value" if euler == via_bott else "fail"), details
 
 
-def _cmd_verify_atlas(args):
-    atlas, lam = _get_atlas(args)
+def _verify_atlas(atlas, args):
     loop = check_cocycle_loop(atlas)
-    reduced_ok = True
     mismatches = []
     for pair in CYCLIC:
         f = atlas.map(*pair)
         for name, want in reduced_transition(pair).items():
             if truncate_J(f.assignment[name], 2) != want:
-                reduced_ok = False
                 mismatches.append(f"{_pair_str(pair)}:{name}")
     details = {
-        "lambda": str(lam),
         "loop_ok": loop.ok,
         "loop_residuals": loop.nonzero(),
-        "reduced_ok": reduced_ok,
+        "reduced_ok": not mismatches,
         "reduced_mismatches": mismatches,
         "notes": list(atlas.notes),
     }
-    return ("pass" if loop.ok and reduced_ok else "fail"), details
+    return ("pass" if loop.ok and not mismatches else "fail"), details
 
 
-def _cmd_berezinian(args):
-    atlas, lam = _get_atlas(args)
+def _berezinian(atlas, args):
     pair = tuple(args.pair)
     if pair not in CYCLIC:
         raise UsageError(f"--pair must be one of {[f'{i} {j}' for i, j in CYCLIC]}")
     raw = berezinian_raw(atlas, pair)
     details = {
-        "lambda": str(lam),
         "pair": _pair_str(pair),
         "value": format_elem(normal_forms(atlas, {pair: raw})[pair]),
         "raw_value": format_elem(raw),
@@ -231,12 +235,10 @@ def _cmd_berezinian(args):
     return "value", details
 
 
-def _cmd_calabi_yau(args):
-    atlas, lam = _get_atlas(args)
+def _calabi_yau(atlas, args):
     rep = is_calabi_yau(atlas)
     normal = normal_forms(atlas, {p: rep.berezinians[p] for p in CYCLIC})
     details = {
-        "lambda": str(lam),
         "flag": rep.ok,
         "berezinians": {_pair_str(k): format_elem(v) for k, v in rep.berezinians.items()},
         "normal_form": {_pair_str(p): format_elem(v) for p, v in normal.items()},
@@ -244,30 +246,40 @@ def _cmd_calabi_yau(args):
     return ("pass" if rep.ok else "fail"), details
 
 
-def _cmd_obstruction(args):
-    atlas, lam = _get_atlas(args)
+def _obstruction(atlas, args):
     cls = obstruction_delta(atlas)
-    details = {"lambda": str(lam), **_class_details(cls)}
-    return "value", details
+    return "value", _class_details(cls)
 
 
-def _cmd_picard_chase(args):
-    atlas, lam = _get_atlas(args)
+def _picard_chase(atlas, args):
     cls = picard_delta(atlas)
-    details = {
-        "lambda": str(lam),
-        **_class_details(cls),
-        "branch": "projected/split" if cls.is_zero() else "non-projected",
-    }
+    details = _class_details(cls)
+    details["branch"] = "projected/split" if cls.is_zero() else "non-projected"
     return "value", details
 
 
-def _cmd_omega_cocycle(args):
-    atlas, lam = _get_atlas(args)
+def _omega_cocycle(atlas, args):
     total = omega_cocycle_sum(atlas)
     nonzero = {k: format_elem(v) for k, v in total.items() if not v.is_zero()}
-    details = {"lambda": str(lam), "zero_sum": not nonzero, "residuals": nonzero}
+    details = {"zero_sum": not nonzero, "residuals": nonzero}
     return ("pass" if not nonzero else "fail"), details
+
+
+# name -> (help text, body (atlas, args) -> (outcome, details)), in help order
+ATLAS_COMMANDS = {
+    "verify-atlas": ("loop identity + reduced-part check", _verify_atlas),
+    "berezinian": ("Berezinian of one overlap Jacobian", _berezinian),
+    "calabi-yau": ("constancy of all transition Berezinians", _calabi_yau),
+    "obstruction": ("obstruction class in H^2(O(-3))", _obstruction),
+    "picard-chase": ("even-Picard connecting map on the degree-1 lift", _picard_chase),
+    "omega-cocycle": ("chart-0 sum of the deformation derivations", _omega_cocycle),
+}
+
+
+def _cmd_atlas(args):
+    atlas, lam = _get_atlas(args)
+    outcome, details = ATLAS_COMMANDS[args.command][1](atlas, args)
+    return outcome, {**details, "lambda": str(lam)}
 
 
 def _cmd_pi_plane_compare(args):
@@ -361,26 +373,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--k", type=_int, required=True)
 
-    def family_flags(p, with_pair=False):
+    for name, (help_text, _) in ATLAS_COMMANDS.items():
+        p = add(name, _cmd_atlas, help_text)
         p.add_argument("--family", choices=FAMILIES, required=True)
         p.add_argument("--lambda", dest="lam", default="1", metavar="RATIONAL")
         p.add_argument("--matrix-json", dest="matrix_json", metavar="FILE",
                        help="matrix cocycle JSON (with --family generic)")
-        if with_pair:
-            p.add_argument("--pair", type=_int, nargs=2, required=True, metavar=("I", "J"))
-
-    p = add("verify-atlas", _cmd_verify_atlas, "loop identity + reduced-part check")
-    family_flags(p)
-    p = add("berezinian", _cmd_berezinian, "Berezinian of one overlap Jacobian")
-    family_flags(p, with_pair=True)
-    p = add("calabi-yau", _cmd_calabi_yau, "constancy of all transition Berezinians")
-    family_flags(p)
-    p = add("obstruction", _cmd_obstruction, "obstruction class in H^2(O(-3))")
-    family_flags(p)
-    p = add("picard-chase", _cmd_picard_chase, "even-Picard connecting map on the degree-1 lift")
-    family_flags(p)
-    p = add("omega-cocycle", _cmd_omega_cocycle, "chart-0 sum of the deformation derivations")
-    family_flags(p)
+    sub.choices["berezinian"].add_argument("--pair", type=_int, nargs=2, required=True, metavar=("I", "J"))
 
     add("pi-plane-compare", _cmd_pi_plane_compare, "big-cell atlas vs the lambda=1 cotangent family")
 

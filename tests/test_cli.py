@@ -198,6 +198,11 @@ def test_unknown_family_is_usage_error():
 def test_bad_lambda_is_usage_error():
     code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "x/y"])
     assert code == 2
+    # one message on every Python: Fraction() reads "3 / 4" from 3.12 on, and
+    # its own error text differs between versions
+    for text in ("x", "1.d", "3 / 4", "3/ 4", "1/0", ""):
+        code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", text])
+        assert (code, rep["details"]["error"]) == (2, f"not a rational number: {text!r}")
 
 
 def test_lambda_exponent_bound_is_usage_error():
@@ -210,15 +215,29 @@ def test_lambda_exponent_bound_is_usage_error():
     code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e-4300"])
     assert code == 2
     assert "more than 4300 digits" in rep["details"]["error"]
+    # a digit string longer than int() reads is refused the same way, without int()'s own text
+    code, rep = report_of(["parse", "l", "--bind", f"l={NINES}9"])
+    assert (code, rep["details"]["error"]) == (2, f"'{NINES}9' has more than 4300 digits in its numerator or denominator")
     code, rep = report_of(["parse", "l", "--bind", "l=1e10000000"])
     assert (code, rep["details"]["error"]) == (2, "exponent of '1e10000000' exceeds the bound 4300")
-    code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e2"])
-    assert (code, rep["details"]["lambda"]) == (0, "100")
 
 
-# Forms of Fraction's own string grammar: signs, a bare or empty fractional
-# part, underscores, surrounding whitespace, and Unicode digits, which the CLI
-# refuses before anything else.
+ATLAS_COMMANDS = ("verify-atlas", "berezinian", "calabi-yau", "obstruction", "picard-chase", "omega-cocycle")
+
+
+# text -> its canonical form, str(Fraction(text)) on Python 3.11 and later
+@pytest.mark.parametrize("text, canonical", [("1e2", "100"), ("6/4", "3/2"), ("1e0", "1"), ("-0", "0"), ("1_0", "10")])
+@pytest.mark.parametrize("command", ATLAS_COMMANDS)
+def test_atlas_commands_report_the_canonical_lambda(command, text, canonical):
+    argv = [command, "--family", "omega1", *(["--pair", "0", "1"] if command == "berezinian" else [])]
+    code, rep = report_of([*argv, "--lambda", text])
+    assert (code, rep["details"]["lambda"], rep["inputs"]["lam"]) == (0, canonical, text)
+    assert rep["details"] == report_of([*argv, "--lambda", canonical])[1]["details"]
+
+
+# Forms of the rational grammar, which is Python 3.11's Fraction grammar: signs,
+# a bare or empty fractional part, underscores, surrounding whitespace, and
+# Unicode digits, which the CLI refuses before anything else.
 FRACTION_FORMS = ("-7e{e}", "+.5e{e}", "1.e{e}", "1_0e{e}", " 2.5E{e} ", "\u0663e{e}")
 
 
@@ -232,8 +251,8 @@ def test_lambda_exponent_bound_reads_fraction_grammar(form):
     for e in ("-3", "\u0660\u0663", "0" * 4000 + "2"):
         text = form.format(e=e)
         code, rep = report_of(["parse", "l", "--bind", f"l={text}"])
-        if text.isascii():
-            assert (code, rep["details"].get("canonical")) == (0, str(Fraction(text))), text
+        if text.isascii():  # Fraction() reads "_" only from Python 3.11 on
+            assert (code, rep["details"].get("canonical")) == (0, str(Fraction(text.replace("_", "")))), text
         else:
             assert (code, rep["details"].get("error")) == (2, non_ascii_error(text)), text
 
@@ -647,12 +666,16 @@ VALID = {"--n": ["2"], "--p": ["1"], "--k": ["1"], "--q": ["2"], "--pair": ["0",
          "--family": ["decomposable"]}
 
 
+def subparsers():
+    """The subcommand name -> subparser map of a freshly built parser."""
+    return next(a for a in _build_parser()._actions if a.choices and a.dest == "command").choices
+
+
 def int_options():
     """(subcommand, option, nargs, the subcommand's other required options) for
     every integer-typed option of the parser."""
-    subparsers = next(a for a in _build_parser()._actions if a.choices and a.dest == "command")
     found = []
-    for name, sub in subparsers.choices.items():
+    for name, sub in subparsers().items():
         for action in sub._actions:
             if action.type is _int:
                 required = [a.option_strings[0] for a in sub._actions if a.required and a is not action]
@@ -696,3 +719,65 @@ def test_rational_options_read_ascii_digits_only(argv):
 def test_a_non_number_keeps_the_argparse_message():
     code, rep = run(["cohomology", "--n", "two", "--k", "1", "--q", "0"])
     assert (code, rep["details"]["error"]) == (2, "argument --n: invalid int value: 'two'")
+
+
+# ---------------------------------------------------------------------------
+# the parser: every subparser's actions, frozen as data
+# ---------------------------------------------------------------------------
+
+
+def required(name):
+    return ((f"--{name}",), name, True, None, None, None, None)
+
+
+FAMILY_FLAGS = [
+    (("--family",), "family", True, None, None, ("decomposable", "omega1", "pi-plane", "generic"), None),
+    (("--lambda",), "lam", False, None, "1", None, "RATIONAL"),
+    (("--matrix-json",), "matrix_json", False, None, None, None, "FILE"),
+]
+
+# subcommand -> its actions after -h/--help and --json, in help order, each as
+# (option_strings, dest, required, nargs, default, choices, metavar)
+PARSER_ACTIONS = {
+    "cohomology": [required("n"), required("k"), required("q")],
+    "bott": [required("n"), required("p"), required("k"), required("q")],
+    "h1-tangent": [required("n"), required("k")],
+    "verify-atlas": FAMILY_FLAGS,
+    "berezinian": [*FAMILY_FLAGS, (("--pair",), "pair", True, 2, None, None, ("I", "J"))],
+    "calabi-yau": FAMILY_FLAGS,
+    "obstruction": FAMILY_FLAGS,
+    "picard-chase": FAMILY_FLAGS,
+    "omega-cocycle": FAMILY_FLAGS,
+    "pi-plane-compare": [],
+    "sym-rank": [required("k")],
+    "parse": [
+        ((), "expr", True, None, None, None, None),
+        (("--table",), "table", False, None, "0", ("0", "1", "2", "hom"), None),
+        (("--bind",), "bind", False, None, None, None, "NAME=VALUE"),
+    ],
+    "selftest": [(("--cases",), "cases", False, None, None, None, None)],
+}
+
+
+def test_the_parser_keeps_its_actions():
+    # compared as data, not as help text, which varies with COLUMNS and the Python version
+    help_json = [
+        (("-h", "--help"), "help", False, 0, "==SUPPRESS==", None, None),
+        (("--json",), "json", False, 0, False, None, None),
+    ]
+    built = [
+        (name, [
+            (tuple(a.option_strings), a.dest, a.required, a.nargs, a.default,
+             None if a.choices is None else tuple(a.choices), a.metavar)
+            for a in sub._actions
+        ])
+        for name, sub in subparsers().items()
+    ]
+    assert built == [(name, [*help_json, *actions]) for name, actions in PARSER_ACTIONS.items()]
+
+
+def test_berezinian_alone_requires_a_pair():
+    code, rep = run(["berezinian"])
+    assert (code, rep["details"]["error"]) == (2, "the following arguments are required: --family, --pair")
+    code, rep = run(["calabi-yau"])
+    assert (code, rep["details"]["error"]) == (2, "the following arguments are required: --family")
