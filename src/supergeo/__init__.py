@@ -29,7 +29,6 @@ from .supermat import (
 )
 from .atlas import (
     Atlas,
-    Chart,
     MatrixCocycle,
     TransitionMap,
     chart0_walk,
@@ -57,7 +56,6 @@ from .cech import (
 from .families import (
     atlas_equal,
     berezinian_normal_form,
-    berezinian_raw,
     big_cell,
     build_decomposable,
     build_generic,

@@ -1,6 +1,6 @@
 """Charts, transition maps, and atlases for 2|2 coordinate geometry.
 
-A chart carries an ordered variable table; a transition map (target <- source)
+A chart is its ordered variable table; a transition map (target <- source)
 stores one algebra element per target coordinate, written over the source
 variables.  Composition is substitution, and the Jacobian uses left
 derivatives with rows ordered by target coordinates (evens first) and columns
@@ -18,7 +18,6 @@ from .superalg import (
     SuperElem,
     SuperError,
     VarTable,
-    _Frozen,
     deriv_even,
     deriv_odd_left,
     format_elem,
@@ -28,42 +27,14 @@ from .superalg import (
 from .supermat import SuperMatrix, _mm, berezinian
 
 
-class Chart(_Frozen):
-    """Chart `index` with its variable table; an immutable value like the table."""
-
-    __slots__ = ("index", "table")
-
-    def __init__(self, index: int, table: VarTable):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "table", table)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Chart:
-            return NotImplemented
-        return self.index == other.index and self.table == other.table
-
-    def __hash__(self):
-        return hash((self.index, self.table))
-
-    @property
-    def even(self) -> tuple[str, ...]:
-        return self.table.even
-
-    @property
-    def odd(self) -> tuple[str, ...]:
-        return self.table.odd
-
-
-def standard_chart(i: int) -> Chart:
-    """Chart i of the 2|2 atlas: evens z1i, z2i and odds t1i, t2i."""
+def standard_chart(i: int) -> VarTable:
+    """Chart i of the 2|2 atlas, which is its variable table: evens z1i, z2i and odds t1i, t2i."""
     return _standard_chart(i)
 
 
-@cache  # one Chart per index, so elements of chart i share one VarTable object
-def _standard_chart(i: int) -> Chart:
-    return Chart(i, VarTable(even=(f"z1{i}", f"z2{i}"), odd=(f"t1{i}", f"t2{i}")))
+@cache  # one table per index, so elements of chart i share one VarTable object
+def _standard_chart(i: int) -> VarTable:
+    return VarTable(even=(f"z1{i}", f"z2{i}"), odd=(f"t1{i}", f"t2{i}"))
 
 
 # -- the cover of P^2 ----------------------------------------------------------
@@ -104,7 +75,7 @@ def pivot(pair: tuple[int, int]) -> str:
 
 def pivot_power(pair: tuple[int, int], n: int) -> SuperElem:
     """pivot^n over chart j, built as a single Laurent term."""
-    table = standard_chart(pair[1]).table
+    table = standard_chart(pair[1])
     exps = [0] * len(table.even)
     exps[table.even_index(pivot(pair))] = n
     return SuperElem(table, {(tuple(exps), 0): Fraction(1)})
@@ -118,7 +89,7 @@ def reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
 @cache
 def _reduced_transition(pair: tuple[int, int]) -> dict[str, SuperElem]:
     i, j = pair
-    table = standard_chart(j).table
+    table = standard_chart(j)
     inv_pivot = pivot_power(pair, -1)
     return {
         _NAME[(i, c)]: inv_pivot if c == j else SuperElem.var(table, _NAME[(j, c)]) * inv_pivot
@@ -135,7 +106,7 @@ def correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
 @cache
 def _correction(pair: tuple[int, int]) -> tuple[str, SuperElem]:
     i, j = pair
-    table = standard_chart(j).table
+    table = standard_chart(j)
     t1, t2 = (SuperElem.var(table, n) for n in table.odd)
     return normal_form_orders(pair)[0][1], t1 * t2 * pivot_power(pair, -2)
 
@@ -153,20 +124,20 @@ class TransitionMap:
 
     __slots__ = ("source", "target", "assignment")
 
-    def __init__(self, source: Chart, target: Chart, assignment: dict[str, SuperElem]):
+    def __init__(self, source: VarTable, target: VarTable, assignment: dict[str, SuperElem]):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
-        want = set(target.table.names)
+        want = set(target.names)
         got = set(self.assignment)
         if want != got:
             raise SuperError(f"assignment keys {sorted(got)} != target coordinates {sorted(want)}")
         for name, elem in self.assignment.items():
-            if elem.table != source.table:
+            if elem.table != source:
                 raise SuperError(f"assignment for {name!r} not over the source table")
-            if name in target.table.even and not elem.is_even():
+            if name in target.even and not elem.is_even():
                 raise SuperError(f"even coordinate {name!r} assigned non-even element")
-            if name in target.table.odd and not elem.is_odd():
+            if name in target.odd and not elem.is_odd():
                 raise SuperError(f"odd coordinate {name!r} assigned non-odd element")
 
     def __eq__(self, other):
@@ -180,7 +151,7 @@ class TransitionMap:
 
     def __repr__(self):
         rows = [f"{k} = {format_elem(v)}" for k, v in sorted(self.assignment.items())]
-        return f"TransitionMap({self.target.index}<-{self.source.index}: " + "; ".join(rows) + ")"
+        return "TransitionMap(" + "; ".join(rows) + ")"
 
 
 def jacobian(f: TransitionMap) -> SuperMatrix:
@@ -191,11 +162,11 @@ def jacobian(f: TransitionMap) -> SuperMatrix:
     C = d(odd)/d(even), D = d(odd)/d(odd).
     """
     src, tgt = f.source, f.target
-    A = [[deriv_even(f.assignment[tn], sn) for sn in src.table.even] for tn in tgt.table.even]
-    B = [[deriv_odd_left(f.assignment[tn], sn) for sn in src.table.odd] for tn in tgt.table.even]
-    C = [[deriv_even(f.assignment[tn], sn) for sn in src.table.even] for tn in tgt.table.odd]
-    D = [[deriv_odd_left(f.assignment[tn], sn) for sn in src.table.odd] for tn in tgt.table.odd]
-    return SuperMatrix(src.table, A, B, C, D)
+    A = [[deriv_even(f.assignment[tn], sn) for sn in src.even] for tn in tgt.even]
+    B = [[deriv_odd_left(f.assignment[tn], sn) for sn in src.odd] for tn in tgt.even]
+    C = [[deriv_even(f.assignment[tn], sn) for sn in src.even] for tn in tgt.odd]
+    D = [[deriv_odd_left(f.assignment[tn], sn) for sn in src.odd] for tn in tgt.odd]
+    return SuperMatrix(src, A, B, C, D)
 
 
 def transition_berezinian(f: TransitionMap) -> SuperElem:
@@ -215,19 +186,19 @@ def transition_berezinian(f: TransitionMap) -> SuperElem:
 
 
 class Atlas:
-    """Charts plus transition maps keyed by (target, source) chart indices."""
+    """Transition maps keyed by (target, source) chart indices: the key is the
+    one record of the two charts a map joins."""
 
-    __slots__ = ("charts", "maps", "notes")
+    __slots__ = ("maps", "notes")
 
-    def __init__(self, charts, maps, notes: tuple[str, ...] = ()):
-        self.charts: dict[int, Chart] = {c.index: c for c in charts}
+    def __init__(self, maps, notes: tuple[str, ...] = ()):
         self.maps: dict[tuple[int, int], TransitionMap] = dict(maps)
         self.notes = tuple(notes)
         for (i, j), f in self.maps.items():
-            if f.target.index != i or f.source.index != j:
-                raise SuperError(f"map stored at {(i, j)} connects {f.target.index}<-{f.source.index}")
-            if i not in self.charts or j not in self.charts:
-                raise SuperError(f"map {(i, j)} references an unknown chart")
+            if not (
+                i in CHARTS and j in CHARTS and f.target == standard_chart(i) and f.source == standard_chart(j)
+            ):
+                raise SuperError(f"map stored at {(i, j)} does not join chart {i} <- chart {j}")
 
     def map(self, i: int, j: int) -> TransitionMap:
         """The stored i <- j map."""
@@ -295,7 +266,7 @@ class MatrixCocycle:
             grid = matrices[pair]
             if len(grid) != r or any(len(row) != r for row in grid):
                 raise SuperError(f"overlap {pair}: matrix is not {r}x{r}")
-            table = standard_chart(pair[1]).table
+            table = standard_chart(pair[1])
             for entry in (e for row in grid for e in row):
                 if entry.table != table:
                     raise SuperError(f"overlap {pair}: matrix entry not written over chart {pair[1]}")
@@ -318,7 +289,7 @@ def cycle_product(walk: dict[int, dict[str, SuperElem]], mc: MatrixCocycle) -> l
 def check_cocycle_loop(atlas: Atlas) -> LoopReport:
     """Walk (0<-1)(1<-2)(2<-0) round to chart 0 and report per-coordinate residuals."""
     loop = atlas.walk()[0]
-    table = atlas.charts[0].table
+    table = standard_chart(0)
     residuals = {name: loop[name] - SuperElem.var(table, name) for name in table.names}
     return LoopReport(ok=all(v.is_zero() for v in residuals.values()), residuals=residuals)
 
@@ -356,7 +327,7 @@ def even_remainder_derivation(f: TransitionMap) -> dict[str, SuperElem]:
     source chart.
     """
     out = {}
-    for name in f.target.table.even:
+    for name in f.target.even:
         elem = f.assignment[name]
         out[name] = elem - truncate_J(elem, 2)
     return out

@@ -28,6 +28,7 @@ from .atlas import (
     cycle_product,
     even_remainder_derivation,
     pivot_power,
+    standard_chart,
 )
 
 
@@ -269,6 +270,6 @@ def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
     Walking (0<-1)(1<-2)(2<-0) adds each overlap's J-degree-2 remainder, pushed
     to chart 0 by the chain rule, to the even coordinates; a product of two
     remainders lies in J^4 = 0, and an odd coordinate gains nothing."""
-    chart = atlas.charts[0]
+    chart = standard_chart(0)
     total = even_remainder_derivation(TransitionMap(chart, chart, atlas.walk()[0]))
-    return total | {name: SuperElem.zero(chart.table) for name in chart.odd}
+    return total | {name: SuperElem.zero(chart) for name in chart.odd}

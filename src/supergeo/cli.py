@@ -25,6 +25,7 @@ from .atlas import (
     is_calabi_yau,
     reduced_transition,
     standard_chart,
+    transition_berezinian,
 )
 from .cech import (
     basis_top,
@@ -39,7 +40,6 @@ from .cech import (
 )
 from .families import (
     atlas_equal,
-    berezinian_raw,
     build_decomposable,
     build_generic,
     build_omega1,
@@ -157,7 +157,7 @@ def _get_atlas(args):
             and all(isinstance(row, list) and all(isinstance(txt, str) for txt in row) for row in rows)
         ):
             raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
-        table = standard_chart(pair[1]).table
+        table = standard_chart(pair[1])
         mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
     for pair in CYCLIC:
         if pair not in mats:
@@ -226,7 +226,7 @@ def _berezinian(atlas, args):
     pair = tuple(args.pair)
     if pair not in CYCLIC:
         raise UsageError(f"--pair must be one of {[f'{i} {j}' for i, j in CYCLIC]}")
-    raw = berezinian_raw(atlas, pair)
+    raw = transition_berezinian(atlas.map(*pair))
     details = {
         "pair": _pair_str(pair),
         "value": format_elem(normal_forms(atlas, {pair: raw})[pair]),
@@ -298,7 +298,7 @@ def _cmd_sym_rank(args):
     return "value", {"k": args.k, "even": even, "odd": odd}
 
 
-_PARSE_TABLES = {**{str(i): standard_chart(i).table for i in CHARTS}, "hom": HOM}
+_PARSE_TABLES = {**{str(i): standard_chart(i) for i in CHARTS}, "hom": HOM}
 
 
 def _cmd_parse(args):

@@ -21,7 +21,6 @@ from .atlas import (
     CHARTS,
     CYCLIC,
     Atlas,
-    Chart,
     MatrixCocycle,
     TransitionMap,
     _reduced_walk,
@@ -35,10 +34,6 @@ from .atlas import (
     standard_chart,
     transition_berezinian,
 )
-
-
-def _charts() -> dict[int, Chart]:
-    return {i: standard_chart(i) for i in CHARTS}
 
 
 def build_decomposable(lam) -> Atlas:
@@ -77,7 +72,7 @@ def decomposable_cocycle() -> MatrixCocycle:
     """diag(1/pivot, 1/pivot^2) on each overlap: the split odd part O(-1) + O(-2)."""
     mats = {}
     for pair in CYCLIC:
-        zero = SuperElem.zero(standard_chart(pair[1]).table)
+        zero = SuperElem.zero(standard_chart(pair[1]))
         mats[pair] = [[pivot_power(pair, -1), zero], [zero, pivot_power(pair, -2)]]
     return MatrixCocycle(mats)
 
@@ -156,8 +151,8 @@ def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
     for pair in CYCLIC:
         f = atlas.map(*pair)
         mats[pair] = [
-            [deriv_odd_left(f.assignment[tn], sn) for sn in f.source.table.odd]
-            for tn in f.target.table.odd
+            [deriv_odd_left(f.assignment[tn], sn) for sn in f.source.odd]
+            for tn in f.target.odd
         ]
     return MatrixCocycle(mats)
 
@@ -198,20 +193,19 @@ def _validate(mc: MatrixCocycle) -> dict[int, int]:
 
 def _assemble(mc: MatrixCocycle, s: dict[int, int], lam: Fraction, notes: tuple[str, ...]) -> Atlas:
     """The atlas of a validated cocycle mc with frame signs s, at parameter lam."""
-    charts = _charts()
     maps = {}
     for pair in CYCLIC:
         i, j = pair
-        src, tgt = charts[j], charts[i]
+        src, tgt = standard_chart(j), standard_chart(i)
         assignment = reduced_transition(pair)
         corrected, bilinear = correction(pair)
         assignment[corrected] = assignment[corrected] + bilinear * (lam * s[j])
-        t1s, t2s = (SuperElem.var(src.table, n) for n in src.table.odd)
+        t1s, t2s = (SuperElem.var(src, n) for n in src.odd)
         M = mc.matrices[pair]
-        assignment[tgt.table.odd[0]] = M[0][0] * t1s + M[0][1] * t2s
-        assignment[tgt.table.odd[1]] = M[1][0] * t1s + M[1][1] * t2s
+        assignment[tgt.odd[0]] = M[0][0] * t1s + M[0][1] * t2s
+        assignment[tgt.odd[1]] = M[1][0] * t1s + M[1][1] * t2s
         maps[pair] = TransitionMap(src, tgt, assignment)
-    return Atlas(charts.values(), maps, notes)
+    return Atlas(maps, notes)
 
 
 # The built-in cocycles are fixed, so each is validated once per process; the
@@ -252,8 +246,7 @@ def big_cell(i: int) -> SuperMatrix:
     Even row: identity entry at column i, coordinates at the other columns;
     odd row mirrors it with sign-flipped odd entries (the Pi-symmetry).
     """
-    c = standard_chart(i)
-    t = c.table
+    t = standard_chart(i)
     one, zero = SuperElem.one(t), SuperElem.zero(t)
     even_row, odd_row = [zero] * len(CHARTS), [zero] * len(CHARTS)
     even_row[i] = one
@@ -272,23 +265,22 @@ def build_pi_plane() -> Atlas:
     """
     atlas = _pi_plane()
     maps = {pair: TransitionMap(f.source, f.target, f.assignment) for pair, f in atlas.maps.items()}
-    return Atlas(atlas.charts.values(), maps, atlas.notes)
+    return Atlas(maps, atlas.notes)
 
 
 @cache  # the Pi-plane is fixed: one reduction per process, only read
 def _pi_plane() -> Atlas:
-    charts = _charts()
     maps = {}
     for i, j in CYCLIC:
         cell = big_cell(j)
         reduced = standard_form(cell, i)
         others = affine_indices(i)
-        tgt, src = charts[i], charts[j]
+        tgt, src = standard_chart(i), standard_chart(j)
         assignment = {
-            tgt.table.even[0]: reduced.A[0][others[0]],
-            tgt.table.even[1]: reduced.A[0][others[1]],
-            tgt.table.odd[0]: reduced.B[0][others[0]],
-            tgt.table.odd[1]: reduced.B[0][others[1]],
+            tgt.even[0]: reduced.A[0][others[0]],
+            tgt.even[1]: reduced.A[0][others[1]],
+            tgt.odd[0]: reduced.B[0][others[0]],
+            tgt.odd[1]: reduced.B[0][others[1]],
         }
         # Pi-symmetry of the reduced cell: the odd row must mirror the even row.
         for col in CHARTS:
@@ -296,19 +288,14 @@ def _pi_plane() -> Atlas:
                 raise SuperError(f"reduced big cell lost Pi-symmetry at column {col}")
         maps[(i, j)] = TransitionMap(src, tgt, assignment)
     notes = ("transitions read off standard-form reductions of the big cells",)
-    return Atlas(charts.values(), maps, notes)
+    return Atlas(maps, notes)
 
 
 # -- comparisons and bookkeeping ----------------------------------------------
 
 
 def atlas_equal(a: Atlas, b: Atlas) -> bool:
-    """Exact equality of charts and every transition assignment."""
-    if sorted(a.charts) != sorted(b.charts):
-        raise SuperError("atlases have different chart index sets")
-    for idx in a.charts:
-        if a.charts[idx].table != b.charts[idx].table:
-            raise SuperError(f"chart {idx} variable tables differ")
+    """Exact equality of the overlap sets and every transition assignment."""
     if set(a.maps) != set(b.maps):
         raise SuperError("atlases store different overlap sets")
     return all(a.maps[key].assignment == b.maps[key].assignment for key in a.maps)
@@ -358,9 +345,4 @@ def berezinian_normal_form(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
     """Berezinian of the overlap map in the theorem arrangement (`normal_forms`)."""
     if pair not in CYCLIC:
         raise SuperError(f"normal form defined for the cyclic overlaps, got {pair}")
-    return normal_forms(atlas, {pair: berezinian_raw(atlas, pair)})[pair]
-
-
-def berezinian_raw(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
-    """`transition_berezinian` of the stored map under the global z1,z2,t1,t2 ordering."""
-    return transition_berezinian(atlas.map(*pair))
+    return normal_forms(atlas, {pair: transition_berezinian(atlas.map(*pair))})[pair]

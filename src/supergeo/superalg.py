@@ -36,31 +36,13 @@ class ParseError(SuperError):
     """Malformed expression text."""
 
 
-class _Frozen:
-    """Base of the value classes whose fields are set once, in __init__.
-
-    A subclass lists its fields in `__slots__` in the order its `__init__`
-    takes them, which is how copy and pickle rebuild it.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-
-class VarTable(_Frozen):
+class VarTable:
     """Ordered even and odd variable names of one coordinate system.
 
     The order is significant: it fixes exponent-vector positions, the odd-mask
     bit positions, and later the row/column order of Jacobians.  Tables are
-    immutable values: equal and hash-equal when their names agree.
+    immutable values: equal and hash-equal when their names agree.  Chart i of
+    the cover is its table, `atlas.standard_chart(i)`.
     """
 
     __slots__ = ("even", "odd")
@@ -71,6 +53,15 @@ class VarTable(_Frozen):
             raise SuperError(f"duplicate variable names in table: {names}")
         object.__setattr__(self, "even", even)
         object.__setattr__(self, "odd", odd)
+
+    def __reduce__(self):  # copy and pickle rebuild a table through __init__
+        return VarTable, (self.even, self.odd)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of VarTable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of VarTable")
 
     def __eq__(self, other):
         if self is other:  # elements of one chart share one table object

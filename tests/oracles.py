@@ -32,7 +32,6 @@ from supergeo.supermat import SuperMatrix, _inv_even, _mm, _msub, _require_squar
 from supergeo.atlas import (
     CYCLIC,
     Atlas,
-    Chart,
     MatrixCocycle,
     TransitionMap,
     chart0_walk,
@@ -237,8 +236,8 @@ def family_assignments(strings, lam):
 # reads the J^2 part of the walked loop and differentiates nothing.
 
 
-def identity_map(chart: Chart) -> TransitionMap:
-    assignment = {name: SuperElem.var(chart.table, name) for name in chart.table.names}
+def identity_map(chart: VarTable) -> TransitionMap:
+    assignment = {name: SuperElem.var(chart, name) for name in chart.names}
     return TransitionMap(chart, chart, assignment)
 
 
@@ -246,7 +245,7 @@ def compose(f: TransitionMap, g: TransitionMap) -> TransitionMap:
     """(f o g): target(f) <- source(g); requires source(f) == target(g)."""
     if f.source != g.target:
         raise SuperError(
-            f"cannot compose: f has source chart {f.source.index}, g targets {g.target.index}"
+            f"cannot compose: f has source chart {f.source.names}, g targets {g.target.names}"
         )
     assignment = {name: substitute(elem, g.assignment) for name, elem in f.assignment.items()}
     return TransitionMap(g.source, f.target, assignment)
@@ -264,8 +263,8 @@ def omega_cocycle_sum_composed(atlas: Atlas) -> dict[str, SuperElem]:
     """
     walk = chart0_walk({pair: atlas.map(*pair).assignment for pair in CYCLIC})
     f01 = atlas.map(0, 1)
-    to0 = {0: identity_map(atlas.charts[0]), 1: f01, 2: compose(f01, atlas.map(1, 2))}
-    table = atlas.charts[0].table
+    to0 = {0: identity_map(standard_chart(0)), 1: f01, 2: compose(f01, atlas.map(1, 2))}
+    table = standard_chart(0)
     total = {name: SuperElem.zero(table) for name in table.names}
     for i, j in CYCLIC:
         fields = {
@@ -274,7 +273,7 @@ def omega_cocycle_sum_composed(atlas: Atlas) -> dict[str, SuperElem]:
             if not c.is_zero()
         }
         jac = jacobian(to0[i]).grid()
-        for m, sname in enumerate(to0[i].source.table.names):
+        for m, sname in enumerate(to0[i].source.names):
             if sname not in fields:
                 continue
             for l, tname in enumerate(table.names):
@@ -330,14 +329,14 @@ def invert_map(f: TransitionMap) -> TransitionMap:
     the remaining even J-degree-2 error exactly since J^3 = 0.
     """
     src, tgt = f.source, f.target
-    ne = len(src.table.even)
-    if len(tgt.table.even) != ne or len(tgt.table.odd) != len(src.table.odd):
+    ne = len(src.even)
+    if len(tgt.even) != ne or len(tgt.odd) != len(src.odd):
         raise SuperError("invert_map needs equal gradings on both charts")
 
     # 1. invert the monomial body map
     exps_rows: list[list[int]] = []
     coeffs: list[Fraction] = []
-    for name in tgt.table.even:
+    for name in tgt.even:
         body = f.assignment[name].body()
         if len(body.terms) != 1:
             raise SuperError(f"body of {name!r} is not a single Laurent term")
@@ -347,35 +346,35 @@ def invert_map(f: TransitionMap) -> TransitionMap:
     inv_rows = _integer_inverse(exps_rows)
 
     g_assignment: dict[str, SuperElem] = {}
-    for m, xname in enumerate(src.table.even):
+    for m, xname in enumerate(src.even):
         coeff = Fraction(1)
         exps = [0] * ne
         for l in range(ne):
             b = inv_rows[m][l]
             exps[l] = b
             coeff *= Fraction(coeffs[l]) ** -b
-        g_assignment[xname] = SuperElem(tgt.table, {(tuple(exps), 0): coeff})
+        g_assignment[xname] = SuperElem(tgt, {(tuple(exps), 0): coeff})
 
     # 2. odd part: theta'_l = sum_k M[l][k-] theta_k  inverts linearly
-    nq = len(src.table.odd)
+    nq = len(src.odd)
     if nq:
         M = [
-            [deriv_odd_left(f.assignment[tname], sname) for sname in src.table.odd]
-            for tname in tgt.table.odd
+            [deriv_odd_left(f.assignment[tname], sname) for sname in src.odd]
+            for tname in tgt.odd
         ]
-        for l, tname in enumerate(tgt.table.odd):
-            linear = SuperElem.zero(src.table)
-            for k, sname in enumerate(src.table.odd):
-                linear = linear + M[l][k] * SuperElem.var(src.table, sname)
+        for l, tname in enumerate(tgt.odd):
+            linear = SuperElem.zero(src)
+            for k, sname in enumerate(src.odd):
+                linear = linear + M[l][k] * SuperElem.var(src, sname)
             if linear != f.assignment[tname]:
                 raise SuperError(f"odd assignment for {tname!r} is not linear in the odd variables")
-        even_part = {n: g_assignment[n] for n in src.table.even}
+        even_part = {n: g_assignment[n] for n in src.even}
         Mt = [[substitute(entry, even_part) for entry in row] for row in M]
         Minv = _inv_even(Mt)  # adjugate inverse over the algebra
-        for k, sname in enumerate(src.table.odd):
-            acc = SuperElem.zero(tgt.table)
-            for l, tname in enumerate(tgt.table.odd):
-                acc = acc + Minv[k][l] * SuperElem.var(tgt.table, tname)
+        for k, sname in enumerate(src.odd):
+            acc = SuperElem.zero(tgt)
+            for l, tname in enumerate(tgt.odd):
+                acc = acc + Minv[k][l] * SuperElem.var(tgt, tname)
             g_assignment[sname] = acc
 
     g = TransitionMap(tgt, src, g_assignment)
@@ -384,15 +383,15 @@ def invert_map(f: TransitionMap) -> TransitionMap:
     h = compose(f, g)
     ident = identity_map(tgt)
     error = {
-        name: h.assignment[name] - ident.assignment[name] for name in tgt.table.names
+        name: h.assignment[name] - ident.assignment[name] for name in tgt.names
     }
     if all(e.is_zero() for e in error.values()):
         return g
-    for name in tgt.table.odd:
+    for name in tgt.odd:
         if not error[name].is_zero():
             raise SuperError(f"odd inversion residual for {name!r}: {format_elem(error[name])}")
     shift = {
-        name: ident.assignment[name] - error[name] for name in tgt.table.names
+        name: ident.assignment[name] - error[name] for name in tgt.names
     }
     g_fixed = {name: substitute(elem, shift) for name, elem in g.assignment.items()}
     g = TransitionMap(tgt, src, g_fixed)
@@ -433,7 +432,7 @@ def _integer_inverse(rows: list[list[int]]) -> list[list[int]]:
 def identity_cocycle() -> MatrixCocycle:
     mats = {}
     for pair in CYCLIC:
-        table = standard_chart(pair[1]).table
+        table = standard_chart(pair[1])
         one, zero = SuperElem.one(table), SuperElem.zero(table)
         mats[pair] = [[one, zero], [zero, one]]
     return MatrixCocycle(mats)
@@ -455,17 +454,17 @@ def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
     i, j = pair
     f = atlas.map(i, j)
     target_order, source_order = normal_form_orders(pair)
-    tgt_ad = Chart(i, VarTable(target_order, f.target.table.odd))
-    src_ad = Chart(j, VarTable(source_order, f.source.table.odd))
+    tgt_ad = VarTable(target_order, f.target.odd)
+    src_ad = VarTable(source_order, f.source.odd)
 
     # rebase: adapted_target <- target, applying the frame sign on theta_1i
     r_tgt = TransitionMap(
         f.target,
         tgt_ad,
         {
-            **{n: SuperElem.var(f.target.table, n) for n in tgt_ad.table.even},
-            tgt_ad.table.odd[0]: SuperElem.var(f.target.table, f.target.table.odd[0]) * s[i],
-            tgt_ad.table.odd[1]: SuperElem.var(f.target.table, f.target.table.odd[1]),
+            **{n: SuperElem.var(f.target, n) for n in tgt_ad.even},
+            tgt_ad.odd[0]: SuperElem.var(f.target, f.target.odd[0]) * s[i],
+            tgt_ad.odd[1]: SuperElem.var(f.target, f.target.odd[1]),
         },
     )
     # unbase: source <- adapted_source, removing the sign from theta_1j
@@ -473,9 +472,9 @@ def normal_form_map(atlas: Atlas, pair: tuple[int, int]) -> TransitionMap:
         src_ad,
         f.source,
         {
-            **{n: SuperElem.var(src_ad.table, n) for n in f.source.table.even},
-            f.source.table.odd[0]: SuperElem.var(src_ad.table, f.source.table.odd[0]) * Fraction(1, s[j]),
-            f.source.table.odd[1]: SuperElem.var(src_ad.table, f.source.table.odd[1]),
+            **{n: SuperElem.var(src_ad, n) for n in f.source.even},
+            f.source.odd[0]: SuperElem.var(src_ad, f.source.odd[0]) * Fraction(1, s[j]),
+            f.source.odd[1]: SuperElem.var(src_ad, f.source.odd[1]),
         },
     )
     return compose(compose(r_tgt, f), r_src)
@@ -504,22 +503,22 @@ def compose_jacobians(f: TransitionMap, g: TransitionMap) -> SuperMatrix:
         raise SuperError("compose_jacobians: charts do not line up")
     jf = jacobian(f).grid()
     jg = jacobian(g).grid()
-    src_names = g.source.table.names
-    mid_names = f.source.table.names
-    tgt_names = f.target.table.names
-    jf_sub = [[substitute(e, g.assignment) if not e.is_zero() else SuperElem.zero(g.source.table) for e in row] for row in jf]
+    src_names = g.source.names
+    mid_names = f.source.names
+    tgt_names = f.target.names
+    jf_sub = [[substitute(e, g.assignment) if not e.is_zero() else SuperElem.zero(g.source) for e in row] for row in jf]
     grid = []
     for l in range(len(tgt_names)):
         row = []
         for m in range(len(src_names)):
-            acc = SuperElem.zero(g.source.table)
+            acc = SuperElem.zero(g.source)
             for i in range(len(mid_names)):
                 acc = acc + jg[i][m] * jf_sub[l][i]
             row.append(acc)
         grid.append(row)
-    p = len(f.target.table.even)
-    r = len(g.source.table.even)
-    return from_grid(g.source.table, grid, p, r)
+    p = len(f.target.even)
+    r = len(g.source.even)
+    return from_grid(g.source, grid, p, r)
 
 
 def rescale_odd(atlas: Atlas, c) -> Atlas:
@@ -537,15 +536,15 @@ def rescale_odd(atlas: Atlas, c) -> Atlas:
         scale_tgt = _odd_scaling(f.target, c)
         unscale_src = _odd_scaling(f.source, 1 / c)
         maps[key] = compose(compose(scale_tgt, f), unscale_src)
-    return Atlas(atlas.charts.values(), maps, atlas.notes)
+    return Atlas(maps, atlas.notes)
 
 
-def _odd_scaling(chart: Chart, c: Fraction) -> TransitionMap:
+def _odd_scaling(chart: VarTable, c: Fraction) -> TransitionMap:
     assignment = {}
-    for name in chart.table.even:
-        assignment[name] = SuperElem.var(chart.table, name)
-    for name in chart.table.odd:
-        assignment[name] = SuperElem.var(chart.table, name) * c
+    for name in chart.even:
+        assignment[name] = SuperElem.var(chart, name)
+    for name in chart.odd:
+        assignment[name] = SuperElem.var(chart, name) * c
     return TransitionMap(chart, chart, assignment)
 
 
@@ -557,13 +556,13 @@ def j2_shift(atlas: Atlas, shifts: dict[int, dict[str, str]]) -> Atlas:
     (t1i*t2i)^2 = 0.  The result is isomorphic to the given atlas.
     """
 
-    def phi(chart: Chart, sign: int) -> TransitionMap:
-        t = chart.table
+    def phi(i: int, sign: int) -> TransitionMap:
+        t = standard_chart(i)
         bilinear = SuperElem.var(t, t.odd[0]) * SuperElem.var(t, t.odd[1])
         assignment = {name: SuperElem.var(t, name) for name in t.names}
-        for name, h in shifts.get(chart.index, {}).items():
+        for name, h in shifts.get(i, {}).items():
             assignment[name] = assignment[name] + parse(h, t) * bilinear * sign
-        return TransitionMap(chart, chart, assignment)
+        return TransitionMap(t, t, assignment)
 
-    maps = {key: compose(compose(phi(f.target, 1), f), phi(f.source, -1)) for key, f in atlas.maps.items()}
-    return Atlas(atlas.charts.values(), maps, atlas.notes)
+    maps = {(i, j): compose(compose(phi(i, 1), f), phi(j, -1)) for (i, j), f in atlas.maps.items()}
+    return Atlas(maps, atlas.notes)

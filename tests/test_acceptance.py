@@ -17,7 +17,6 @@ from supergeo import (
     TransitionMap,
     atlas_equal,
     berezinian_normal_form,
-    berezinian_raw,
     build_decomposable,
     build_generic,
     build_omega1,
@@ -34,6 +33,7 @@ from supergeo import (
     standard_chart,
     sym_restricted_rank,
 )
+from supergeo.atlas import transition_berezinian
 from supergeo.selfcheck import run_all
 
 LAMBDAS = (Fraction(0), Fraction(1), Fraction(2))
@@ -59,8 +59,8 @@ def test_criterion_01_berezinian_minus_one():
                 if not (ber.is_constant() and ber.constant_value() == -1):
                     failures.append(f"{build.__name__} lam={lam} {pair}: {ber}")
     # the raw fixed-convention values behind the adapted frames are pinned too
-    raw_dec = {p: berezinian_raw(build_decomposable(Fraction(1)), p).constant_value() for p in PAIRS}
-    raw_om = {p: berezinian_raw(build_omega1(Fraction(1)), p).constant_value() for p in PAIRS}
+    raw_dec = {p: transition_berezinian(build_decomposable(Fraction(1)).map(*p)).constant_value() for p in PAIRS}
+    raw_om = {p: transition_berezinian(build_omega1(Fraction(1)).map(*p)).constant_value() for p in PAIRS}
     if raw_dec != {(0, 1): -1, (1, 2): -1, (2, 0): 1}:
         failures.append(f"raw decomposable values moved: {raw_dec}")
     if raw_om != {(0, 1): 1, (1, 2): 1, (2, 0): 1}:
@@ -135,7 +135,7 @@ def test_criterion_07_pi_plane_identification():
     identical = sum(
         pi.map(i, j).assignment[name] == om.map(i, j).assignment[name]
         for (i, j) in PAIRS
-        for name in pi.charts[i].table.names
+        for name in standard_chart(i).names
     )
     if identical != 12:
         failures.append(f"only {identical}/12 assignments identical")
@@ -175,7 +175,6 @@ def test_criterion_10_randomized_property_suite():
 
 def _split_minus_one_twice_atlas():
     """Reduced even transitions with odd part O(-1) + O(-1): glues, not Calabi-Yau."""
-    charts = {i: standard_chart(i) for i in range(3)}
     strings = {
         (0, 1): {"z10": "z11^-1", "z20": "z21/z11", "t10": "t11/z11", "t20": "t21/z11"},
         (1, 2): {"z11": "z12/z22", "z21": "z22^-1", "t11": "t12/z22", "t21": "t22/z22"},
@@ -183,12 +182,12 @@ def _split_minus_one_twice_atlas():
     }
     maps = {
         (i, j): TransitionMap(
-            charts[j], charts[i],
-            {name: parse(text, charts[j].table) for name, text in assign.items()},
+            standard_chart(j), standard_chart(i),
+            {name: parse(text, standard_chart(j)) for name, text in assign.items()},
         )
         for (i, j), assign in strings.items()
     }
-    return Atlas(charts.values(), maps)
+    return Atlas(maps)
 
 
 def test_criterion_11_negative_controls():
@@ -196,12 +195,12 @@ def test_criterion_11_negative_controls():
 
     # (a) one flipped deformation sign must break the loop with a named residual
     atlas = build_decomposable(Fraction(1))
-    t1 = standard_chart(1).table
+    t1 = standard_chart(1)
     bad = dict(atlas.map(0, 1).assignment)
     bad["z20"] = parse("z21/z11 - t11*t21/z11^2", t1)
     maps = dict(atlas.maps)
     maps[(0, 1)] = TransitionMap(standard_chart(1), standard_chart(0), bad)
-    report = check_cocycle_loop(Atlas(atlas.charts.values(), maps))
+    report = check_cocycle_loop(Atlas(maps))
     if report.ok or set(report.nonzero()) != {"z20"}:
         failures.append(f"corrupted atlas: ok={report.ok} nonzero={report.nonzero()}")
 
@@ -209,8 +208,8 @@ def test_criterion_11_negative_controls():
     wrong = MatrixCocycle(
         {
             pair: [
-                [parse("1/" + piv, standard_chart(pair[1]).table), parse("0", standard_chart(pair[1]).table)],
-                [parse("0", standard_chart(pair[1]).table), parse("1/" + piv, standard_chart(pair[1]).table)],
+                [parse("1/" + piv, standard_chart(pair[1])), parse("0", standard_chart(pair[1]))],
+                [parse("0", standard_chart(pair[1])), parse("1/" + piv, standard_chart(pair[1]))],
             ]
             for pair, piv in (((0, 1), "z11"), ((1, 2), "z22"), ((2, 0), "z20"))
         }

@@ -1,4 +1,4 @@
-"""Charts, transition maps, cocycle loops, the chart-0 walk, Jacobians."""
+"""Charts (variable tables), transition maps, cocycle loops, the chart-0 walk, Jacobians."""
 
 import copy
 import pickle
@@ -10,7 +10,6 @@ import pytest
 from supergeo import (
     Atlas,
     berezinian,
-    Chart,
     SuperElem,
     SuperError,
     TransitionMap,
@@ -48,29 +47,30 @@ from test_cech import J2_SHIFTS
 
 def test_standard_chart_names():
     c = standard_chart(1)
-    assert c.table.even == ("z11", "z21")
-    assert c.table.odd == ("t11", "t21")
-    assert c.index == 1
+    assert c is standard_chart(1)
+    assert c == VarTable(("z11", "z21"), ("t11", "t21"))
+    assert c.even == ("z11", "z21")
+    assert c.odd == ("t11", "t21")
 
 
 def test_chart_is_an_immutable_value():
     c = standard_chart(1)
-    same = Chart(1, VarTable(("z11", "z21"), ("t11", "t21")))
+    same = VarTable(("z11", "z21"), ("t11", "t21"))
     assert same is not c and same == c and hash(same) == hash(c)
     assert {c: 1}[same] == 1
-    assert c != Chart(2, c.table) and c != Chart(1, standard_chart(2).table)
-    assert c != (1, c.table)
+    assert c != standard_chart(2) and c != VarTable(("z21", "z11"), ("t11", "t21"))
+    assert c != (c.even, c.odd)
     with pytest.raises(AttributeError):
-        c.index = 2
+        c.even = standard_chart(2).even
     with pytest.raises(AttributeError):
-        c.table = standard_chart(2).table
+        c.table = standard_chart(2)
     with pytest.raises(AttributeError):
-        del c.table
+        del c.odd
     with pytest.raises(SuperError):
-        Chart(1, VarTable(("z11", "z11"), ("t11", "t21")))
+        VarTable(("z11", "z11"), ("t11", "t21"))
     atlas = build_omega1(Fraction(3, 2))
     twin = pickle.loads(pickle.dumps(atlas))
-    assert twin.charts == atlas.charts
+    assert all((f.target, f.source) == (standard_chart(i), standard_chart(j)) for (i, j), f in twin.maps.items())
     assert {k: f.assignment for k, f in copy.deepcopy(atlas).maps.items()} == {
         k: f.assignment for k, f in atlas.maps.items()
     } == {k: f.assignment for k, f in twin.maps.items()}
@@ -106,7 +106,7 @@ def test_cover_facts_frozen():
     nf_target = {(0, 1): ("z10", "z20"), (1, 2): ("z21", "z11"), (2, 0): ("z12", "z22")}
     nf_source = {(0, 1): ("z11", "z21"), (1, 2): ("z22", "z12"), (2, 0): ("z20", "z10")}
     for pair in CYCLIC:
-        table = standard_chart(pair[1]).table
+        table = standard_chart(pair[1])
         got = reduced_transition(pair)
         assert list(got) == list(reduced[pair])
         assert got == {name: parse(text, table) for name, text in reduced[pair].items()}
@@ -116,21 +116,20 @@ def test_cover_facts_frozen():
 
 
 def test_transition_map_validation():
-    c0, c1 = standard_chart(0), standard_chart(1)
-    t1 = c1.table
+    c0, t1 = standard_chart(0), standard_chart(1)
     good = {
         "z10": parse("z11^-1", t1),
         "z20": parse("z21/z11", t1),
         "t10": parse("t11/z11", t1),
         "t20": parse("t21/z11^2", t1),
     }
-    TransitionMap(c1, c0, good)
+    TransitionMap(t1, c0, good)
     with pytest.raises(SuperError):
-        TransitionMap(c1, c0, {**good, "t10": parse("z11", t1)})  # parity
+        TransitionMap(t1, c0, {**good, "t10": parse("z11", t1)})  # parity
     with pytest.raises(SuperError):
-        TransitionMap(c1, c0, {k: v for k, v in good.items() if k != "z20"})
+        TransitionMap(t1, c0, {k: v for k, v in good.items() if k != "z20"})
     with pytest.raises(SuperError):
-        TransitionMap(c1, c0, {**good, "z10": parse("z10^-1", c0.table)})
+        TransitionMap(t1, c0, {**good, "z10": parse("z10^-1", c0)})
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +140,8 @@ def test_transition_map_validation():
 def test_compose_with_identity():
     atlas = build_decomposable(Fraction(1))
     f = atlas.map(0, 1)
-    assert compose(f, identity_map(atlas.charts[1])) == f
-    assert compose(identity_map(atlas.charts[0]), f) == f
+    assert compose(f, identity_map(standard_chart(1))) == f
+    assert compose(identity_map(standard_chart(0)), f) == f
 
 
 def test_compose_equals_inverse_of_third():
@@ -159,7 +158,7 @@ def test_invert_identity():
 def test_invert_decomposable_01_frozen():
     atlas = build_decomposable(Fraction(1))
     g = invert_map(atlas.map(0, 1))
-    t0 = standard_chart(0).table
+    t0 = standard_chart(0)
     assert g.assignment == {
         "z11": parse("z10^-1", t0),
         "z21": parse("-z10^-2*t10*t20 + z10^-1*z20", t0),
@@ -169,11 +168,10 @@ def test_invert_decomposable_01_frozen():
 
 
 def test_invert_linear_diag():
-    c = standard_chart(0)
-    t = c.table
+    t = standard_chart(0)
     f = TransitionMap(
-        c,
-        c,
+        t,
+        t,
         {
             "z10": parse("2*z10", t),
             "z20": parse("3*z20", t),
@@ -192,16 +190,15 @@ def test_invert_round_trip(family, lam):
     atlas = family(lam)
     for (i, j), f in atlas.maps.items():
         g = invert_map(f)
-        assert compose(f, g) == identity_map(atlas.charts[i])
-        assert compose(g, f) == identity_map(atlas.charts[j])
+        assert compose(f, g) == identity_map(standard_chart(i))
+        assert compose(g, f) == identity_map(standard_chart(j))
 
 
 def test_invert_rejects_non_monomial_body():
-    c = standard_chart(0)
-    t = c.table
+    t = standard_chart(0)
     f = TransitionMap(
-        c,
-        c,
+        t,
+        t,
         {
             "z10": parse("z10 + z20", t),
             "z20": parse("z20", t),
@@ -229,12 +226,12 @@ def test_loop_closes(family, lam):
 
 def test_loop_detects_flipped_correction_sign():
     atlas = build_decomposable(Fraction(1))
-    t1 = standard_chart(1).table
+    t1 = standard_chart(1)
     bad = dict(atlas.map(0, 1).assignment)
     bad["z20"] = parse("z21/z11 - t11*t21/z11^2", t1)
     maps = dict(atlas.maps)
     maps[(0, 1)] = TransitionMap(standard_chart(1), standard_chart(0), bad)
-    report = check_cocycle_loop(Atlas(atlas.charts.values(), maps))
+    report = check_cocycle_loop(Atlas(maps))
     assert not report.ok
     assert set(report.nonzero()) == {"z20"}
 
@@ -247,7 +244,7 @@ def test_loop_detects_flipped_correction_sign():
 def test_jacobian_frozen_blocks():
     # target rows z10, z20, t10, t20; source columns z11, z21, t11, t21
     atlas = build_decomposable(Fraction(1))
-    t1 = standard_chart(1).table
+    t1 = standard_chart(1)
     grid = jacobian(atlas.map(0, 1)).grid()
     expected = [
         ["-z11^-2", "0", "0", "0"],
@@ -281,7 +278,7 @@ def test_naive_matrix_chain_rule_fails():
     moved = [
         [substitute(e, g.assignment) for e in row] for row in Jf.grid()
     ]
-    naive = matmul(from_grid(g.source.table, moved, 2, 2), Jg).grid()
+    naive = matmul(from_grid(g.source, moved, 2, 2), Jg).grid()
     true = jacobian(compose(f, g)).grid()
     diffs = {
         (i, j): naive[i][j] - true[i][j]
@@ -289,7 +286,7 @@ def test_naive_matrix_chain_rule_fails():
         for j in range(4)
         if naive[i][j] != true[i][j]
     }
-    t2 = standard_chart(2).table
+    t2 = standard_chart(2)
     assert diffs == {
         (1, 1): parse("6*z12^-2*z22^-2*t12*t22", t2),
         (2, 2): parse("-2*z12^-2*z22^-1*t12*t22", t2),
@@ -316,7 +313,7 @@ def test_calabi_yau_flag_and_values():
 
 def test_even_remainder_derivation():
     atlas = build_decomposable(Fraction(2))
-    t1 = standard_chart(1).table
+    t1 = standard_chart(1)
     rem = even_remainder_derivation(atlas.map(0, 1))
     assert rem["z10"].is_zero()
     assert rem["z20"] == parse("2*t11*t21/z11^2", t1)
@@ -346,7 +343,7 @@ def test_chart0_walk_matches_inverse_maps(name):
 
 
 def constant_grid(pair, rows):
-    table = standard_chart(pair[1]).table
+    table = standard_chart(pair[1])
     return [[SuperElem.const(table, c) for c in row] for row in rows]
 
 
@@ -366,12 +363,12 @@ def test_cycle_product_multiplies_in_the_cycle_order():
 def test_cycle_product_reads_each_grid_on_chart_0(name):
     # the O(1) cocycle X_i/X_j, one pivot per overlap, closes on chart 0
     atlas = build_decomposable(Fraction(1)) if name == "decomposable" else build_pi_plane()
-    grids = {pair: [[SuperElem.var(standard_chart(pair[1]).table, pivot(pair))]] for pair in CYCLIC}
+    grids = {pair: [[SuperElem.var(standard_chart(pair[1]), pivot(pair))]] for pair in CYCLIC}
     for walk in (_reduced_walk(), atlas.walk()):
         ((product,),) = cycle_product(walk, MatrixCocycle(grids))
-        assert product.body() == SuperElem.one(standard_chart(0).table)
+        assert product.body() == SuperElem.one(standard_chart(0))
     # a non-cocycle: the (2<-0) grid is read as it stands, not through the loop
-    grids[(2, 0)] = [[SuperElem.var(standard_chart(0).table, "z10")]]
+    grids[(2, 0)] = [[SuperElem.var(standard_chart(0), "z10")]]
     ((product,),) = cycle_product(_reduced_walk(), MatrixCocycle(grids))
     assert format_elem(product) == "z10*z20^-1"
 
@@ -404,7 +401,7 @@ def berezinian_cocycle(atlas, ber=transition_berezinian) -> MatrixCocycle:
 def test_transition_berezinians_form_a_cocycle(name):
     atlas = GLUED_ATLASES[name]()
     assert check_cocycle_loop(atlas).ok
-    assert cycle_product(atlas.walk(), berezinian_cocycle(atlas)) == [[SuperElem.one(standard_chart(0).table)]]
+    assert cycle_product(atlas.walk(), berezinian_cocycle(atlas)) == [[SuperElem.one(standard_chart(0))]]
 
 
 @pytest.mark.parametrize("name", sorted(GLUED_ATLASES))
@@ -447,10 +444,14 @@ def test_cover_indices_come_from_the_cycle():
 
 
 def test_atlas_requires_consistent_keys():
+    # each key (i, j) must name two charts of the cover, and its map must join
+    # exactly those two tables: a swapped key, a map over other charts, chart 3
     atlas = build_decomposable(Fraction(1))
-    maps = dict(atlas.maps)
-    maps[(1, 0)] = maps.pop((0, 1))
+    f12 = atlas.map(1, 2)
+    over_chart_2 = TransitionMap(f12.source, f12.target, f12.assignment)
+    for key, f in [((1, 0), atlas.map(0, 1)), ((0, 1), over_chart_2), ((0, 3), atlas.map(0, 1))]:
+        maps = {k: g for k, g in atlas.maps.items() if k != (0, 1)} | {key: f}
+        with pytest.raises(SuperError, match=rf"map stored at \({key[0]}, {key[1]}\) does not join chart"):
+            Atlas(maps)
     with pytest.raises(SuperError):
-        Atlas(atlas.charts.values(), maps)
-    with pytest.raises(SuperError):
-        Atlas(atlas.charts.values(), atlas.maps).map(0, 2)
+        Atlas(atlas.maps).map(0, 2)

@@ -6,7 +6,6 @@ import inspect
 import re
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +27,6 @@ from supergeo import (
     atlas_equal,
     berezinian,
     berezinian_normal_form,
-    berezinian_raw,
     big_cell,
     build_decomposable,
     build_generic,
@@ -47,14 +45,14 @@ from supergeo import (
     substitute,
     sym_restricted_rank,
 )
-from supergeo.atlas import reduced_transition
+from supergeo.atlas import reduced_transition, transition_berezinian
 from supergeo.cli import run
 from test_acceptance import _split_minus_one_twice_atlas
-from test_layering import LAYERS
+from test_layering import LAYERS, README, quick_tour
 
-T0 = standard_chart(0).table
-T1 = standard_chart(1).table
-T2 = standard_chart(2).table
+T0 = standard_chart(0)
+T1 = standard_chart(1)
+T2 = standard_chart(2)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +84,7 @@ def test_lambda_zero_is_split():
     for build in (build_decomposable, build_omega1):
         atlas = build(Fraction(0))
         for f in atlas.maps.values():
-            for name in f.target.table.even:
+            for name in f.target.even:
                 assert j_degrees(f.assignment[name]) <= {0}
 
 
@@ -123,7 +121,7 @@ def test_matrix_cocycle_names_the_overlap():
     with pytest.raises(SuperError, match=r"^overlap \(2, 0\): matrix is not 2x2$"):
         MatrixCocycle({**good, (2, 0): [[parse("1", T0), parse("0", T0)], [parse("1", T0)]]})
     # a 1x1 cocycle is a valid type, but F needs 2x2
-    ones = MatrixCocycle({pair: [[SuperElem.one(standard_chart(pair[1]).table)]] for pair in good})
+    ones = MatrixCocycle({pair: [[SuperElem.one(standard_chart(pair[1]))]] for pair in good})
     assert ones.size == 1 and decomposable_cocycle().size == 2
     with pytest.raises(SuperError, match=r"^overlap \(0, 1\): matrix is not 2x2$"):
         build_generic(ones, 1)
@@ -151,7 +149,7 @@ def test_builtin_cocycles_frozen():
         },
         identity_cocycle: {pair: [["1", "0"], ["0", "1"]] for pair in ((0, 1), (1, 2), (2, 0))},
     }
-    tables = {j: standard_chart(j).table for j in range(3)}
+    tables = {j: standard_chart(j) for j in range(3)}
     for cocycle, mats in typed.items():
         want = {
             pair: [[parse(text, tables[pair[1]]) for text in row] for row in rows]
@@ -193,7 +191,7 @@ def test_det_sign_rule_raises_one_message():
     atlas = build_decomposable(Fraction(0))
     f = atlas.map(0, 1)
     flipped = TransitionMap(f.source, f.target, {**f.assignment, "t10": -f.assignment["t10"]})
-    atlas = Atlas(atlas.charts.values(), {**atlas.maps, (0, 1): flipped})
+    atlas = Atlas({**atlas.maps, (0, 1): flipped})
     want = "det signs {(0, 1): -1, (1, 2): 1, (2, 0): 1} are not a coboundary; no O(k) identification"
     with pytest.raises(SuperError) as by_build:
         build_generic(MatrixCocycle(mats), 1)
@@ -236,10 +234,9 @@ def test_build_generic_loop_closes_for_swapped_cocycle():
         (1, 2): [["1/z22", "0"], ["0", "1/z22^2"]],
         (2, 0): [["0", "1/z20"], ["1/z20^2", "0"]],
     }
-    charts = {i: standard_chart(i) for i in range(3)}
     mc = MatrixCocycle(
         {
-            pair: [[parse(s, charts[pair[1]].table) for s in row] for row in grid]
+            pair: [[parse(s, standard_chart(pair[1])) for s in row] for row in grid]
             for pair, grid in mats.items()
         }
     )
@@ -260,10 +257,9 @@ def test_build_generic_rejects_wrong_twist():
         pair: [["1/" + piv, "0"], ["0", "1/" + piv]]
         for pair, piv in (((0, 1), "z11"), ((1, 2), "z22"), ((2, 0), "z20"))
     }
-    charts = {i: standard_chart(i) for i in range(3)}
     mc = MatrixCocycle(
         {
-            pair: [[parse(s, charts[pair[1]].table) for s in row] for row in grid]
+            pair: [[parse(s, standard_chart(pair[1])) for s in row] for row in grid]
             for pair, grid in mats.items()
         }
     )
@@ -331,7 +327,7 @@ def test_memoized_helpers_are_keyed_by_the_cover_only():
 def test_reduced_transition_hands_out_a_fresh_dict(pair):
     want = {name: format_elem(e) for name, e in reduced_transition(pair).items()}
     got = reduced_transition(pair)
-    table = standard_chart(pair[1]).table
+    table = standard_chart(pair[1])
     for name in list(got):
         got[name] = SuperElem.zero(table)
     got["bogus"] = SuperElem.one(table)
@@ -344,8 +340,8 @@ def test_build_pi_plane_hands_out_fresh_maps():
     got = build_pi_plane()
     for f in got.maps.values():
         for name in list(f.assignment):
-            f.assignment[name] = SuperElem.zero(f.source.table)
-        f.assignment["bogus"] = SuperElem.one(f.source.table)
+            f.assignment[name] = SuperElem.zero(f.source)
+        f.assignment["bogus"] = SuperElem.one(f.source)
     got.maps.clear()
     assert {p: f.assignment for p, f in build_pi_plane().maps.items()} == family_assignments(OMEGA1, 1)
     code, report = run(["pi-plane-compare"])
@@ -401,7 +397,7 @@ def test_pi_plane_is_omega1_at_lambda_one():
 
 def test_atlas_equal_requires_same_shape():
     atlas = build_decomposable(Fraction(1))
-    partial = Atlas(atlas.charts.values(), {(0, 1): atlas.map(0, 1)})
+    partial = Atlas({(0, 1): atlas.map(0, 1)})
     with pytest.raises(SuperError):
         atlas_equal(atlas, partial)
 
@@ -443,11 +439,11 @@ def test_nonzero_lambdas_give_isomorphic_but_unequal_atlases():
 
 def test_berezinian_raw_frozen():
     dec = build_decomposable(Fraction(1))
-    assert {p: berezinian_raw(dec, p).constant_value() for p in dec.maps} == {
+    assert {p: transition_berezinian(dec.map(*p)).constant_value() for p in dec.maps} == {
         (0, 1): -1, (1, 2): -1, (2, 0): 1,
     }
     om = build_omega1(Fraction(1))
-    assert {p: berezinian_raw(om, p).constant_value() for p in om.maps} == {
+    assert {p: transition_berezinian(om.map(*p)).constant_value() for p in om.maps} == {
         (0, 1): 1, (1, 2): 1, (2, 0): 1,
     }
 
@@ -460,7 +456,7 @@ def test_berezinian_raw_product_is_one():
             atlas = build(lam)
             prod = Fraction(1)
             for pair in atlas.maps:
-                prod *= berezinian_raw(atlas, pair).constant_value()
+                prod *= transition_berezinian(atlas.map(*pair)).constant_value()
             assert prod == 1
 
 
@@ -486,7 +482,7 @@ def test_normal_form_signs_match_the_recomposed_map(name):
     atlas = NF_ATLASES[name]()
     s = frame_signs(atlas)
     for pair in ((0, 1), (1, 2), (2, 0)):
-        table = standard_chart(pair[1]).table
+        table = standard_chart(pair[1])
         back = {n: SuperElem.var(table, n) for n in table.names}
         back[table.odd[0]] = back[table.odd[0]] * s[pair[1]]  # undo the source rebasing
         want = substitute(berezinian(jacobian(normal_form_map(atlas, pair))), back)
@@ -520,7 +516,7 @@ def test_third_overlap_with_z10_denominators_breaks_the_loop():
     }
     maps = dict(atlas.maps)
     maps[(2, 0)] = TransitionMap(standard_chart(0), standard_chart(2), variant)
-    report = check_cocycle_loop(Atlas(atlas.charts.values(), maps))
+    report = check_cocycle_loop(Atlas(maps))
     assert not report.ok
     assert report.nonzero()
 
@@ -547,11 +543,10 @@ def test_sym_restricted_rank():
 def test_readme_quick_tour():
     # run the block and check each expression line against the literal that
     # leads its comment, e.g. "-1 in the adapted frames"
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = quick_tour(README.read_text())
     lines = block.splitlines()
     namespace = {}
-    checked = 0
+    wants = []
     for stmt in ast.parse(block).body:
         code = ast.get_source_segment(block, stmt)
         if not isinstance(stmt, ast.Expr):
@@ -560,5 +555,6 @@ def test_readme_quick_tour():
         comment = lines[stmt.lineno - 1].split("#", 1)[1].strip()
         want = ast.literal_eval(re.match(r"True|False|-?\d+|\{.*\}", comment)[0])
         assert eval(code, namespace) == want, (code, comment)
-        checked += 1
-    assert checked == 5
+        wants.append(want)
+    lam = {"X0^-1*X1^-1*X2^-1": "3/2"}
+    assert wants == [True, {(0, 1): 1, (1, 2): 1, (2, 0): 1}, -1, lam, lam]

@@ -176,12 +176,16 @@ def test_checker_sees_an_import_through_a_reexport():
     assert reexported_imports(trees) == ["top.py:1: f is not defined in mid"]
 
 
+def quick_tour(readme: str) -> str:
+    """The README's quick-tour code block."""
+    return readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def quick_tour_names(readme: str) -> set[str]:
     """Names the README's quick-tour block imports from supergeo."""
-    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     return {
         alias.name
-        for node in ast.parse(block).body
+        for node in ast.parse(quick_tour(readme)).body
         if isinstance(node, ast.ImportFrom) and node.module == "supergeo"
         for alias in node.names
     }
