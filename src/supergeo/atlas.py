@@ -186,18 +186,18 @@ def transition_berezinian(f: TransitionMap) -> SuperElem:
 
 
 class Atlas:
-    """Transition maps keyed by (target, source) chart indices: the key is the
-    one record of the two charts a map joins."""
+    """The three CYCLIC transition maps, keyed by (target, source) chart
+    indices: the key is the one record of the two charts a map joins."""
 
     __slots__ = ("maps", "notes")
 
     def __init__(self, maps, notes: tuple[str, ...] = ()):
         self.maps: dict[tuple[int, int], TransitionMap] = dict(maps)
         self.notes = tuple(notes)
+        if set(self.maps) != set(CYCLIC):
+            raise SuperError(f"atlas must hold exactly the overlaps {CYCLIC}")
         for (i, j), f in self.maps.items():
-            if not (
-                i in CHARTS and j in CHARTS and f.target == standard_chart(i) and f.source == standard_chart(j)
-            ):
+            if not (f.target == standard_chart(i) and f.source == standard_chart(j)):
                 raise SuperError(f"map stored at {(i, j)} does not join chart {i} <- chart {j}")
 
     def map(self, i: int, j: int) -> TransitionMap:
@@ -309,14 +309,8 @@ class CalabiYauReport:
 
 def is_calabi_yau(atlas: Atlas) -> CalabiYauReport:
     """All transition Berezinians must be nonzero constants."""
-    bers: dict[tuple[int, int], SuperElem] = {}
-    ok = True
-    for key in sorted(atlas.maps):
-        ber = transition_berezinian(atlas.maps[key])
-        bers[key] = ber
-        if not (ber.is_constant() and not ber.is_zero()):
-            ok = False
-    return CalabiYauReport(ok=ok, berezinians=bers)
+    bers = {pair: transition_berezinian(atlas.map(*pair)) for pair in CYCLIC}
+    return CalabiYauReport(ok=all(b.is_constant() and not b.is_zero() for b in bers.values()), berezinians=bers)
 
 
 def even_remainder_derivation(f: TransitionMap) -> dict[str, SuperElem]:

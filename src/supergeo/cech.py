@@ -16,19 +16,17 @@ from math import comb, factorial, prod
 from operator import sub
 
 from . import families
-from .superalg import SuperElem, SuperError, format_elem, int_digit_limit, printable, substitute
+from .superalg import SuperElem, SuperError, format_elem, int_digit_limit, printable, substitute, truncate_J
 from .atlas import (
     AFFINE,
     CYCLIC,
     HOM,
     Atlas,
     MatrixCocycle,
-    TransitionMap,
     affine_indices,
     cycle_product,
     even_remainder_derivation,
     pivot_power,
-    standard_chart,
 )
 
 
@@ -269,7 +267,6 @@ def omega_cocycle_sum(atlas: Atlas) -> dict[str, SuperElem]:
     cocycle: the J-degree-2 part of the loop, and zero on the odd coordinates.
     Walking (0<-1)(1<-2)(2<-0) adds each overlap's J-degree-2 remainder, pushed
     to chart 0 by the chain rule, to the even coordinates; a product of two
-    remainders lies in J^4 = 0, and an odd coordinate gains nothing."""
-    chart = standard_chart(0)
-    total = even_remainder_derivation(TransitionMap(chart, chart, atlas.walk()[0]))
-    return total | {name: SuperElem.zero(chart) for name in chart.odd}
+    remainders lies in J^4 = 0, and an odd coordinate, of J-degree 1 where
+    J^3 = 0, has no J-degree-2 part."""
+    return {name: e - truncate_J(e, 2) for name, e in atlas.walk()[0].items()}

@@ -158,11 +158,19 @@ def _get_atlas(args):
         ):
             raise UsageError(f"{path}: matrices[{key!r}] is not a list of lists of expression strings")
         table = standard_chart(pair[1])
-        mats[pair] = [[parse(txt, table) for txt in row] for row in rows]
+        mats[pair] = [[_entry(path, key, r, c, txt, table) for c, txt in enumerate(row)] for r, row in enumerate(rows)]
     for pair in CYCLIC:
         if pair not in mats:
             raise UsageError(f"{path}: matrices key {_pair_str(pair)!r} is missing")
     return build_generic(MatrixCocycle(mats), lam), lam
+
+
+def _entry(path: str, key: str, r: int, c: int, txt: str, table):
+    """Entry [r][c] of grid `key`, parsed over `table`; text that does not parse is a usage error."""
+    try:
+        return parse(txt, table)
+    except ParseError as exc:
+        raise UsageError(f"{path}: matrices[{key!r}][{r}][{c}]: {exc}") from None
 
 
 def _overlap_key(path: str, key: str) -> tuple[int, int]:
@@ -414,9 +422,7 @@ def run(argv, on_parse=None) -> tuple[int, dict]:
             on_parse(args)
         report["command"] = args.command
         report["inputs"] = {
-            k: (str(v) if isinstance(v, Fraction) else v)
-            for k, v in sorted(vars(args).items())
-            if k not in ("fn", "json", "command") and v is not None
+            k: v for k, v in sorted(vars(args).items()) if k not in ("fn", "json", "command") and v is not None
         }
         outcome, details = args.fn(args)
     except UsageError as exc:

@@ -362,17 +362,10 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
     def image_power(name: str, e: int) -> SuperElem:
         got = pow_cache.get((name, e))
         if got is None:
-            img = images[name]
-            if e < 0:
-                try:
-                    got = invert_unit(img) ** (-e)
-                except NotAUnit as exc:
-                    raise SuperError(
-                        f"negative power of {name!r} needs a unit-body image"
-                    ) from exc
-            else:
-                got = img ** e
-            pow_cache[(name, e)] = got
+            try:
+                got = pow_cache[(name, e)] = images[name] ** e
+            except NotAUnit as exc:  # only a negative power inverts
+                raise SuperError(f"negative power of {name!r} needs a unit-body image") from exc
         return got
 
     out: dict[Key, Fraction] = {}
@@ -612,10 +605,6 @@ def parse(text: str, table: VarTable, bindings: Mapping[str, Fraction] | None = 
     return out
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)  # "p" or "p/q", exact
-
-
 def format_elem(a: SuperElem) -> str:
     """Deterministic canonical text; parse(format(a)) == a."""
     if not a.terms:
@@ -630,7 +619,7 @@ def format_elem(a: SuperElem) -> str:
         factors.extend(_mask_names(mask, a.table))
         mag = abs(c)
         if not factors or mag != 1:
-            factors.insert(0, _format_coeff(mag))
+            factors.insert(0, str(mag))  # "p" or "p/q", exact
         body = "*".join(factors)
         pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]

@@ -444,14 +444,23 @@ def test_cover_indices_come_from_the_cycle():
 
 
 def test_atlas_requires_consistent_keys():
-    # each key (i, j) must name two charts of the cover, and its map must join
-    # exactly those two tables: a swapped key, a map over other charts, chart 3
+    # an atlas holds exactly the three cyclic maps, each joining the two charts
+    # its key names: a swapped key, chart 3, a missing overlap and an extra
+    # identity map are refused by the key set, two maps stored under each
+    # other's keys by the table check
     atlas = build_decomposable(Fraction(1))
-    f12 = atlas.map(1, 2)
-    over_chart_2 = TransitionMap(f12.source, f12.target, f12.assignment)
-    for key, f in [((1, 0), atlas.map(0, 1)), ((0, 1), over_chart_2), ((0, 3), atlas.map(0, 1))]:
-        maps = {k: g for k, g in atlas.maps.items() if k != (0, 1)} | {key: f}
-        with pytest.raises(SuperError, match=rf"map stored at \({key[0]}, {key[1]}\) does not join chart"):
+    f01, f12 = atlas.map(0, 1), atlas.map(1, 2)
+    without_01 = {k: g for k, g in atlas.maps.items() if k != (0, 1)}
+    key_set = r"atlas must hold exactly the overlaps \(\(0, 1\), \(1, 2\), \(2, 0\)\)"
+    cases = [
+        (without_01 | {(1, 0): f01}, key_set),
+        (without_01 | {(0, 3): f01}, key_set),
+        (without_01, key_set),
+        (atlas.maps | {(0, 0): identity_map(standard_chart(0))}, key_set),
+        (atlas.maps | {(0, 1): f12, (1, 2): f01}, r"map stored at \(0, 1\) does not join chart 0 <- chart 1"),
+    ]
+    for maps, message in cases:
+        with pytest.raises(SuperError, match=message):
             Atlas(maps)
     with pytest.raises(SuperError):
         Atlas(atlas.maps).map(0, 2)

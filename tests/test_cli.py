@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,8 @@ import pytest
 from supergeo import cech, cli
 from supergeo.cli import _build_parser, _int, main, run
 from supergeo.selfcheck import MAX_CASES
+from supergeo.superalg import int_digit_limit
+from test_layering import README
 
 GENERATOR = "X0^-1*X1^-1*X2^-1"
 
@@ -344,8 +347,19 @@ GOOD_ROWS = [["1/z11", "0"], ["0", "1/z11^2"]]
         ("0<-1", 5, "matrices['0<-1'] is not a list of lists"),
         ("0<-1", ["1/z11", "0"], "matrices['0<-1'] is not a list of lists"),
         ("0<-1", [[1, 0], [0, 1]], "matrices['0<-1'] is not a list of lists of expression strings"),
+        # grid (0<-1) is read over chart 1, which has no z10
+        ("0<-1", [["1/z10", "0"], ["0", "1"]], "matrices['0<-1'][0][0]: unknown identifier 'z10' at position 2"),
+        ("0<-1", [["1/z11", "0"], ["0", "z11^"]], "matrices['0<-1'][1][1]: expected 'int'"),
+        (
+            "0<-1",
+            [["1/z11", "0"], ["0", "1" * (int_digit_limit() + 1)]],
+            f"matrices['0<-1'][1][1]: integer literal exceeds {int_digit_limit()} digits",
+        ),
     ],
-    ids=["no-arrow", "non-integer-index", "two-arrows", "number", "flat-list", "number-entries"],
+    ids=[
+        "no-arrow", "non-integer-index", "two-arrows", "number", "flat-list", "number-entries",
+        "unknown-variable", "dangling-caret", "long-coefficient",
+    ],
 )
 def test_generic_family_malformed_matrix_is_usage_error(tmp_path, key, rows, message):
     path = write_cocycle(tmp_path, {key: rows})
@@ -379,9 +393,12 @@ def test_generic_family_missing_overlap_is_usage_error(tmp_path):
 
 
 def test_generic_family_deeply_nested_entry_fails(tmp_path):
+    # the parser's nesting bound, not a RecursionError: an entry that does not parse
     rows = {**DECOMPOSABLE_ROWS, "0<-1": [["(" * 400 + "1/z11" + ")" * 400, "0"], ["0", "1/z11^2"]]}
-    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", write_cocycle(tmp_path, rows)])
-    assert (code, rep["outcome"], rep["details"]) == (1, "fail", {"error": "nesting deeper than 100 at position 100"})
+    path = write_cocycle(tmp_path, rows)
+    code, rep = report_of(["verify-atlas", "--family", "generic", "--matrix-json", path])
+    error = f"{path}: matrices['0<-1'][0][0]: nesting deeper than 100 at position 100"
+    assert (code, rep["outcome"], rep["details"]) == (2, "usage-error", {"error": error})
 
 
 def test_generic_family_deeply_nested_json_is_usage_error(tmp_path):
@@ -655,6 +672,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["details"] == {"k": 2, "even": 4, "odd": 4}
+
+
+def readme_examples(readme: str) -> list[tuple[list[str], dict | None]]:
+    """The `supergeo` lines of the README's "Command line" block, each as argv
+    with the report details its `#   {"details": ...}` line shows, if any."""
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("supergeo "):
+            examples.append((shlex.split(line, comments=True)[1:], None))
+        elif line.startswith('#   {"details": '):
+            shown = line.removeprefix('#   {"details": ').removesuffix(", ...}").replace("..., ", "")
+            examples[-1] = (examples[-1][0], json.loads(shown))
+    return examples
+
+
+def test_readme_command_line_examples_run():
+    examples = readme_examples(README.read_text())
+    assert len(examples) == 14
+    shown = {}
+    for argv, details in examples:
+        code, rep = run(argv)
+        assert code == 0, argv
+        if details is not None:
+            assert {k: rep["details"][k] for k in details} == details
+            shown[argv[0]] = details
+    assert shown == {
+        "cohomology": {"basis": [GENERATOR], "dim": 1},
+        "berezinian": {"raw_value": "-1", "value": "-1"},
+    }
 
 
 # ---------------------------------------------------------------------------
