@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 from supergeo import cli, selfcheck
 from supergeo.selfcheck import (
@@ -13,18 +14,33 @@ from supergeo.selfcheck import (
     random_unit,
     run_all,
 )
+from supergeo.superalg import format_elem
 from supergeo.supermat import matmul
+
+
+def assert_canonical(e):
+    """Every key is ((e1, e2), mask) with exponents in [-3, 3] and a 2-odd-variable
+    mask, and every coefficient is a nonzero Fraction."""
+    for key, c in e.terms.items():
+        (exps, mask) = key
+        assert len(exps) == 2 and all(type(x) is int and -3 <= x <= 3 for x in exps), key
+        assert type(mask) is int and 0 <= mask < 4, key
+        assert type(c) is Fraction and c != 0, (key, c)
 
 
 def test_generators_respect_parity():
     rng = random.Random(3)
     for _ in range(50):
-        assert random_elem(rng, parity=0).is_even()
-        assert random_elem(rng, parity=1).is_odd()
-        u = random_unit(rng, parity=0)
-        assert u.is_even()
-        assert len(u.body().terms) == 1
-        random_supermatrix(rng)  # construction itself asserts block parity
+        elems = [random_elem(rng), random_elem(rng, parity=0), random_elem(rng, parity=1)]
+        assert elems[1].is_even()
+        assert elems[2].is_odd()
+        units = [random_unit(rng), random_unit(rng, parity=0)]
+        assert units[1].is_even()
+        for u in units:
+            assert [mask for _, mask in u.terms].count(0) == 1
+        m = random_supermatrix(rng)  # construction itself asserts block parity
+        for e in elems + units + [x for block in (m.A, m.B, m.C, m.D) for row in block for x in row]:
+            assert_canonical(e)
 
 
 def test_run_all_small_budget_passes():
@@ -42,8 +58,28 @@ def test_run_all_is_deterministic():
     assert a == b
 
 
+# The sha256 of 200 rounds of generator output at the default seed: every draw
+# of random_elem, random_unit and random_supermatrix, in order.  A generator
+# change that alters one draw changes the cases the suite runs, and this digest.
+GENERATED_CASES_SHA256 = "71626152535692b7cb11dbea6e9516ee7f16afe33c5f89bf4f8f8d41882a4cef"
+
+
+def test_generated_cases_are_pinned():
+    rng = random.Random(DEFAULT_SEED)
+    h = hashlib.sha256()
+    for _ in range(200):
+        out = [format_elem(random_elem(rng, p)) for p in (None, 0, 1)]
+        out += [format_elem(random_unit(rng, p)) for p in (None, 0)]
+        out.append(repr(random_supermatrix(rng)))
+        for text in out:
+            h.update(f"{text}\n".encode())
+    assert h.hexdigest() == GENERATED_CASES_SHA256
+
+
 # The sha256 of the `selftest --cases 350` report at the default seed, with the
-# wall time removed: the cases run, their order and the report's layout.
+# wall time removed.  A passing report lists no inputs, so this pins the case
+# counts, the property order, the verdicts and the report's layout, not the
+# cases themselves; GENERATED_CASES_SHA256 pins those.
 SELFTEST_350_SHA256 = "a12003b2e573154466da3c7848b6160925df4b3a6eff1695c6c60a766c159302"
 
 
