@@ -6,6 +6,12 @@ multiplicativity on random 2|2 supermatrices with nilpotent perturbations, and
 the Serre-duality / Euler-characteristic identities of the line-bundle
 dimension formulas.  Everything is exact, so a single failing case is a bug;
 failing inputs are reported verbatim.
+
+Each property's inputs depend only on the seed and the property name: they are
+drawn in a fixed order from that property's own random stream.  A generator
+change that alters one draw, its order or the element built from it changes
+the cases the whole suite runs; tests/test_selfcheck.py pins the generated
+cases with a digest.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from fractions import Fraction
 from .superalg import (
     SuperElem,
     VarTable,
+    _add_into,
+    _adopt,
     deriv_even,
     deriv_odd_left,
     format_elem,
@@ -46,36 +54,45 @@ BUDGET = {
 DEFAULT_CASES = sum(BUDGET.values())
 
 
-def _random_term(rng: random.Random, parity=None) -> SuperElem:
-    exps = (rng.randint(-3, 3), rng.randint(-3, 3))
-    masks = [0, 1, 2, 3]
-    if parity == 0:
-        masks = [0, 3]
-    elif parity == 1:
-        masks = [1, 2]
-    mask = rng.choice(masks)
-    num = rng.choice([n for n in range(-5, 6) if n])
-    den = rng.randint(1, 3)
-    return SuperElem(TABLE, {(exps, mask): Fraction(num, den)})
+# What a term draws from: its nonzero numerators, and its odd masks by parity
+# (None: any; 0: even, no or both odd variables; 1: exactly one odd variable).
+# A coefficient num/den (den 1 to 3) is read from COEFFICIENTS, built once.
+# The generators call rng.randrange(a, b + 1), which is all that
+# rng.randint(a, b) does, so they draw the same stream with one call less.
+NUMERATORS = tuple(n for n in range(-5, 6) if n)
+MASKS = {None: (0, 1, 2, 3), 0: (0, 3), 1: (1, 2)}
+COEFFICIENTS = {(n, d): Fraction(n, d) for n in NUMERATORS for d in (1, 2, 3)}
+
+
+def _random_terms(rng: random.Random, count: int, parity=None) -> dict:
+    """The canonical terms of a sum of `count` random terms, built in place.
+
+    Each term draws its two exponents, its mask, its numerator and its
+    denominator, in that order; a key that cancels drops out.
+    """
+    randrange, choice, masks = rng.randrange, rng.choice, MASKS[parity]
+    terms = {}
+    for _ in range(count):
+        key = ((randrange(-3, 4), randrange(-3, 4)), choice(masks))
+        _add_into(terms, {key: COEFFICIENTS[choice(NUMERATORS), randrange(1, 4)]})
+    return terms
+
+
+def _odd_part(terms: dict) -> dict:
+    """The terms with an odd factor: the strictly nilpotent part."""
+    return {k: c for k, c in terms.items() if k[1]}
 
 
 def random_elem(rng: random.Random, parity=None, max_terms=4) -> SuperElem:
-    out = SuperElem.zero(TABLE)
-    for _ in range(rng.randint(1, max_terms)):
-        out = out + _random_term(rng, parity)
-    return out
+    return _adopt(TABLE, _random_terms(rng, rng.randrange(1, max_terms + 1), parity))
 
 
 def random_unit(rng: random.Random, parity=None) -> SuperElem:
-    num = rng.choice([n for n in range(-5, 6) if n])
-    body = SuperElem(
-        TABLE, {((rng.randint(-3, 3), rng.randint(-3, 3)), 0): Fraction(num, rng.randint(1, 3))}
-    )
-    nil = SuperElem.zero(TABLE)
-    for _ in range(rng.randint(0, 2)):
-        term = _random_term(rng, parity)
-        nil = nil + (term - term.body())  # keep only the odd-factor part
-    return body + nil
+    randrange = rng.randrange
+    num = rng.choice(NUMERATORS)
+    body = {((randrange(-3, 4), randrange(-3, 4)), 0): COEFFICIENTS[num, randrange(1, 4)]}
+    # the body key has mask 0 and no odd-part key does, so the union adds
+    return _adopt(TABLE, body | _odd_part(_random_terms(rng, randrange(0, 3), parity)))
 
 
 def random_supermatrix(rng: random.Random) -> SuperMatrix:
@@ -89,7 +106,7 @@ def random_supermatrix(rng: random.Random) -> SuperMatrix:
             for j in range(2):
                 if i != j and rng.random() < 0.5:
                     e = random_elem(rng, parity=0, max_terms=2)
-                    g[i][j] = e - e.body()  # strictly nilpotent off-diagonal
+                    g[i][j] = _adopt(TABLE, _odd_part(e.terms))  # strictly nilpotent off-diagonal
         return g
 
     def odd_block():

@@ -22,7 +22,7 @@ def assert_canonical(e):
     """Every key is ((e1, e2), mask) with exponents in [-3, 3] and a 2-odd-variable
     mask, and every coefficient is a nonzero Fraction."""
     for key, c in e.terms.items():
-        (exps, mask) = key
+        exps, mask = key
         assert len(exps) == 2 and all(type(x) is int and -3 <= x <= 3 for x in exps), key
         assert type(mask) is int and 0 <= mask < 4, key
         assert type(c) is Fraction and c != 0, (key, c)
