@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 from .superalg import (
     SuperElem,
     VarTable,
-    _add_into,
-    _adopt,
+    _reduce,
     deriv_even,
     deriv_odd_left,
     format_elem,
@@ -56,25 +54,32 @@ DEFAULT_CASES = sum(BUDGET.values())
 
 # What a term draws from: its nonzero numerators, and its odd masks by parity
 # (None: any; 0: even, no or both odd variables; 1: exactly one odd variable).
-# A coefficient num/den (den 1 to 3) is read from COEFFICIENTS, built once.
-# The generators call rng.randrange(a, b + 1), which is all that
+# A coefficient num/den (den 1 to 3) is built over the shared denominator DEN,
+# as the numerator SCALED[num, den] = num * DEN / den, read from a table built
+# once.  The generators call rng.randrange(a, b + 1), which is all that
 # rng.randint(a, b) does, so they draw the same stream with one call less.
 NUMERATORS = tuple(n for n in range(-5, 6) if n)
 MASKS = {None: (0, 1, 2, 3), 0: (0, 3), 1: (1, 2)}
-COEFFICIENTS = {(n, d): Fraction(n, d) for n in NUMERATORS for d in (1, 2, 3)}
+DEN = 6
+SCALED = {(n, d): n * (DEN // d) for n in NUMERATORS for d in (1, 2, 3)}
 
 
 def _random_terms(rng: random.Random, count: int, parity=None) -> dict:
-    """The canonical terms of a sum of `count` random terms, built in place.
+    """The numerators over DEN of a sum of `count` random terms, built in place.
 
     Each term draws its two exponents, its mask, its numerator and its
-    denominator, in that order; a key that cancels drops out.
+    denominator, in that order; a key that cancels drops out.  The dict is not
+    reduced: its numerators may share a factor with DEN.
     """
     randrange, choice, masks = rng.randrange, rng.choice, MASKS[parity]
     terms = {}
     for _ in range(count):
         key = ((randrange(-3, 4), randrange(-3, 4)), choice(masks))
-        _add_into(terms, {key: COEFFICIENTS[choice(NUMERATORS), randrange(1, 4)]})
+        c = terms.get(key, 0) + SCALED[choice(NUMERATORS), randrange(1, 4)]
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
     return terms
 
 
@@ -84,15 +89,15 @@ def _odd_part(terms: dict) -> dict:
 
 
 def random_elem(rng: random.Random, parity=None, max_terms=4) -> SuperElem:
-    return _adopt(TABLE, _random_terms(rng, rng.randrange(1, max_terms + 1), parity))
+    return _reduce(TABLE, _random_terms(rng, rng.randrange(1, max_terms + 1), parity), DEN)
 
 
 def random_unit(rng: random.Random, parity=None) -> SuperElem:
     randrange = rng.randrange
     num = rng.choice(NUMERATORS)
-    body = {((randrange(-3, 4), randrange(-3, 4)), 0): COEFFICIENTS[num, randrange(1, 4)]}
+    body = {((randrange(-3, 4), randrange(-3, 4)), 0): SCALED[num, randrange(1, 4)]}
     # the body key has mask 0 and no odd-part key does, so the union adds
-    return _adopt(TABLE, body | _odd_part(_random_terms(rng, randrange(0, 3), parity)))
+    return _reduce(TABLE, body | _odd_part(_random_terms(rng, randrange(0, 3), parity)), DEN)
 
 
 def random_supermatrix(rng: random.Random) -> SuperMatrix:
@@ -104,9 +109,9 @@ def random_supermatrix(rng: random.Random) -> SuperMatrix:
             g[i][i] = random_unit(rng, parity=0)
         for i in range(2):
             for j in range(2):
-                if i != j and rng.random() < 0.5:
-                    e = random_elem(rng, parity=0, max_terms=2)
-                    g[i][j] = _adopt(TABLE, _odd_part(e.terms))  # strictly nilpotent off-diagonal
+                if i != j and rng.random() < 0.5:  # the draws of random_elem(rng, 0, max_terms=2)
+                    terms = _random_terms(rng, rng.randrange(1, 3), parity=0)
+                    g[i][j] = _reduce(TABLE, _odd_part(terms), DEN)  # strictly nilpotent off-diagonal
         return g
 
     def odd_block():

@@ -1,12 +1,17 @@
 """Exact supercommutative Laurent-Grassmann algebra.
 
 Elements live in Q[z1^{+-1},...,zp^{+-1}] (x) Lambda[t1,...,tq]: finite sums of
-terms  c * z^e * t_S  with c an exact Fraction, e an integer exponent vector
+terms  c * z^e * t_S  with c an exact rational, e an integer exponent vector
 (negative exponents allowed) and S a strictly increasing subset of the odd
 variables.  Multiplication uses the Koszul sign rule t_i t_j = -t_j t_i, and
 every element is kept in canonical form: a dict mapping (exponents, odd-mask)
-to a nonzero Fraction.  With q odd variables the ideal J generated by them
-satisfies J^{q+1} = 0, which makes every computation here finite and exact.
+to a nonzero integer numerator, over one shared denominator den >= 1 with
+gcd(den, every numerator) = 1, as FLINT's fmpq_poly keeps a polynomial.  So
+every coefficient product in the kernel is an int product, and equal elements
+have equal dicts and denominators.  `SuperElem.terms` reads the coefficients
+as Fractions, built one at a time when a value is read.  With q odd variables
+the ideal J generated by them satisfies J^{q+1} = 0, which makes every
+computation here finite and exact.
 
 No floats are used anywhere.
 """
@@ -17,6 +22,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add as _add_exps
 
 
@@ -109,32 +115,65 @@ def _mask_names(mask: int, table: VarTable) -> list[str]:
     return [table.odd[i] for i in range(len(table.odd)) if mask >> i & 1]
 
 
-class SuperElem:
-    """A canonical-form element of the Laurent-Grassmann algebra."""
+class _Terms(Mapping):
+    """Read-only view of an element's coefficients: key -> nonzero Fraction.
 
-    __slots__ = ("table", "terms")
+    Its keys and length are the numerator dict's own; a Fraction is built
+    only when a value is read.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict[Key, int], den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, key: Key) -> Fraction:
+        return Fraction(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class SuperElem:
+    """A canonical-form element of the Laurent-Grassmann algebra: integer
+    numerators `_num` over one denominator `_den` (see the module docstring)."""
+
+    __slots__ = ("table", "_num", "_den")
 
     def __init__(self, table: VarTable, terms: Mapping[Key, Fraction] | None = None):
-        self.table = table
-        self.terms: dict[Key, Fraction] = {}
+        coeffs = {}
         if terms:
             for key, c in terms.items():
                 if c:
-                    self.terms[key] = c if type(c) is Fraction else Fraction(c)
+                    coeffs[key] = c if type(c) is Fraction else Fraction(c)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.table = table
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "SuperElem":
-        return _adopt(table, {})
+        return _adopt(table, {}, 1)
 
     @classmethod
     def const(cls, table: VarTable, c) -> "SuperElem":
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
         if not c:
-            return _adopt(table, {})
-        return _adopt(table, {((0,) * len(table.even), 0): c})
+            return _adopt(table, {}, 1)
+        key = ((0,) * len(table.even), 0)
+        if type(c) is int:
+            return _adopt(table, {key: c}, 1)
+        return _adopt(table, {key: c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, table: VarTable) -> "SuperElem":
@@ -145,35 +184,40 @@ class SuperElem:
         if name in table.even:
             e = [0] * len(table.even)
             e[table.even_index(name)] = 1
-            return cls(table, {(tuple(e), 0): Fraction(1)})
+            return _adopt(table, {(tuple(e), 0): 1}, 1)
         if name in table.odd:
-            return cls(table, {((0,) * len(table.even), 1 << table.odd_index(name)): Fraction(1)})
+            return _adopt(table, {((0,) * len(table.even), 1 << table.odd_index(name)): 1}, 1)
         raise SuperError(f"unknown variable {name!r} for table {table.names}")
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Key, Fraction]:
+        """The coefficients as a read-only Mapping: key -> nonzero Fraction."""
+        return _Terms(self._num, self._den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_even(self) -> bool:
-        return all((mask.bit_count() & 1) == 0 for _, mask in self.terms)
+        return all((mask.bit_count() & 1) == 0 for _, mask in self._num)
 
     def is_odd(self) -> bool:
-        return all((mask.bit_count() & 1) == 1 for _, mask in self.terms)
+        return all((mask.bit_count() & 1) == 1 for _, mask in self._num)
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) and mask == 0 for exps, mask in self.terms)
+        return all(all(e == 0 for e in exps) and mask == 0 for exps, mask in self._num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise SuperError(f"not a constant: {format_elem(self)}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def body(self) -> "SuperElem":
         """The J-degree-0 part (no odd factors)."""
-        return _adopt(self.table, {k: c for k, c in self.terms.items() if k[1] == 0})
+        return _reduce(self.table, {k: c for k, c in self._num.items() if k[1] == 0}, self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -184,14 +228,18 @@ class SuperElem:
     def __add__(self, other):
         other = _coerce(self.table, other)
         self._check(other)
-        terms = dict(self.terms)
-        _add_into(terms, other.terms)
-        return _adopt(self.table, terms)
+        if not other._num:  # elements are immutable values: x + 0 may be x itself
+            return self
+        if not self._num:
+            return other
+        num = dict(self._num)
+        den = _add_into(num, self._den, other._num, other._den)
+        return _reduce(self.table, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _adopt(self.table, {k: -c for k, c in self.terms.items()})
+        return _adopt(self.table, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-_coerce(self.table, other))
@@ -202,24 +250,26 @@ class SuperElem:
     def __mul__(self, other):
         other = _coerce(self.table, other)
         self._check(other)
-        terms: dict[Key, Fraction] = {}
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
+        if not self._num or not other._num:
+            return _adopt(self.table, {}, 1)
+        num: dict[Key, int] = {}
+        for (e1, m1), c1 in self._num.items():
+            for (e2, m2), c2 in other._num.items():
                 if m1 & m2:
                     continue  # repeated odd variable squares to zero
                 key = (tuple(map(_add_exps, e1, e2)), m1 | m2)
                 c = c1 * c2
                 negate = m1 and m2 and _mask_sign(m1, m2) < 0
-                old = terms.get(key)
+                old = num.get(key)
                 if old is None:
-                    terms[key] = -c if negate else c
+                    num[key] = -c if negate else c
                     continue
                 s = old - c if negate else old + c
                 if s:
-                    terms[key] = s
+                    num[key] = s
                 else:
-                    del terms[key]
-        return _adopt(self.table, terms)
+                    del num[key]
+        return _reduce(self.table, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -235,11 +285,12 @@ class SuperElem:
             base, n = invert_unit(self), -n
         if n == 0:
             return SuperElem.one(self.table)
-        if len(base.terms) == 1:
-            ((exps, mask), c), = base.terms.items()
+        if len(base._num) == 1:
+            ((exps, mask), c), = base._num.items()
             if mask and n > 1:
                 return SuperElem.zero(self.table)  # a repeated odd factor
-            return _adopt(self.table, {(tuple(e * n for e in exps), mask): c**n})
+            # one term: gcd(c, den) = 1, so gcd(c^n, den^n) = 1 too
+            return _adopt(self.table, {(tuple(e * n for e in exps), mask): c**n}, base._den**n)
         out = None
         while True:  # binary powering: square base, multiply in the set bits of n
             if n & 1:
@@ -255,12 +306,12 @@ class SuperElem:
                 other = SuperElem.const(self.table, other)
             else:
                 return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self.is_constant():  # equal to its Fraction value, so hash like it
             return hash(self.constant_value())
-        return hash((self.table, tuple(sorted(self.terms.items()))))
+        return hash((self.table, self._den, tuple(sorted(self._num.items()))))
 
     def __repr__(self):
         return f"SuperElem({format_elem(self)!r})"
@@ -269,22 +320,57 @@ class SuperElem:
         return format_elem(self)
 
 
-def _adopt(table: VarTable, terms: dict[Key, Fraction]) -> SuperElem:
-    """Wrap an already-canonical dict (nonzero Fraction values) as is.
+def _adopt(table: VarTable, num: dict[Key, int], den: int) -> SuperElem:
+    """Wrap an already-canonical numerator dict and denominator as is.
 
-    The internal constructor: no copy, no zero filter, no re-wrap.  Callers
-    hand over a fresh dict they no longer touch.
+    The internal constructor: no copy, no zero filter, no gcd.  Callers hand
+    over a fresh dict they no longer touch, with nonzero int values, den >= 1
+    and gcd(den, every value) = 1.
     """
     out = object.__new__(SuperElem)
     out.table = table
-    out.terms = terms
+    out._num = num
+    out._den = den
     return out
 
 
-def _add_into(acc: dict[Key, Fraction], terms: Mapping[Key, Fraction]) -> None:
-    """acc += terms in place, dropping keys that cancel: a sum built this way
-    takes time linear in its terms, where a chain of `+` copies it each step."""
-    for k, c in terms.items():
+def _reduce(table: VarTable, num: dict[Key, int], den: int) -> SuperElem:
+    """Adopt num/den after dividing out gcd(den, every numerator).
+
+    `num` holds nonzero ints and is a fresh dict the caller no longer touches.
+    A subset of a canonical dict, or a product or sum of two, can share a
+    factor with den: (z/2 + t1).body() has numerator 1 over 2, but
+    d/dt1 (z/2 + t1) has numerator 2 over 2.
+    """
+    if den != 1:
+        g = gcd(den, *num.values())  # den itself when num is empty: zero is 0/1
+        if g != 1:
+            for k in num:
+                num[k] //= g
+            den //= g
+    return _adopt(table, num, den)
+
+
+def _add_into(acc: dict[Key, int], den: int, num: Mapping[Key, int], num_den: int) -> int:
+    """acc/den += num/num_den in place, dropping keys that cancel; return the
+    new denominator of acc, lcm(den, num_den), with no gcd taken.
+
+    A sum built this way takes time linear in its terms, where a chain of `+`
+    copies it each step.  Each rescaling of acc at least doubles its
+    denominator, so it happens at most log2(final den) times.
+    """
+    scale = 1
+    if num_den != den:
+        common = lcm(den, num_den)
+        if common != den:
+            up = common // den
+            for k in acc:
+                acc[k] *= up
+            den = common
+        scale = common // num_den
+    for k, c in num.items():
+        if scale != 1:
+            c *= scale
         old = acc.get(k)
         if old is None:
             acc[k] = c
@@ -294,6 +380,7 @@ def _add_into(acc: dict[Key, Fraction], terms: Mapping[Key, Fraction]) -> None:
             acc[k] = s
         else:
             del acc[k]
+    return den
 
 
 def _coerce(table: VarTable, x) -> SuperElem:
@@ -315,14 +402,16 @@ def invert_unit(a: SuperElem) -> SuperElem:
         a^{-1} = sum_j u^{-1} (-n u^{-1})^j,
     a finite sum because J^{q+1} = 0.  Without a nilpotent part it is u^{-1}.
     """
-    body = [(k, c) for k, c in a.terms.items() if k[1] == 0]
+    body = [(k, c) for k, c in a._num.items() if k[1] == 0]
     if len(body) != 1:
         raise NotAUnit(f"body is not a single Laurent term: {format_elem(a)}")
     (exps, _), c = body[0]
-    u_inv = _adopt(a.table, {(tuple(-e for e in exps), 0): c**-1})
-    if len(a.terms) == 1:
+    g = gcd(c, a._den)  # u = c/den; 1/u = (den/g) / (c/g), sign on the numerator
+    u_num, u_den = (a._den // g, c // g) if c > 0 else (-a._den // g, -c // g)
+    u_inv = _adopt(a.table, {(tuple(-e for e in exps), 0): u_num}, u_den)
+    if len(a._num) == 1:
         return u_inv
-    n = _adopt(a.table, {k: c for k, c in a.terms.items() if k[1]})
+    n = _reduce(a.table, {k: c for k, c in a._num.items() if k[1]}, a._den)
     step = -(n * u_inv)
     out = power = u_inv
     for _ in range(len(a.table.odd)):
@@ -368,8 +457,10 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
                 raise SuperError(f"negative power of {name!r} needs a unit-body image") from exc
         return got
 
-    out: dict[Key, Fraction] = {}
-    for (exps, mask), c in a.terms.items():
+    # the image of each numerator's term, summed over den; a's own den divides last
+    out: dict[Key, int] = {}
+    den = 1
+    for (exps, mask), c in a._num.items():
         term = SuperElem.const(target, c)
         for i, e in enumerate(exps):
             if e == 0:
@@ -388,8 +479,8 @@ def substitute(a: SuperElem, images: Mapping[str, SuperElem]) -> SuperElem:
             term = term * images[name]
             if term.is_zero():
                 break
-        _add_into(out, term.terms)
-    return _adopt(target, out)
+        den = _add_into(out, den, term._num, term._den)
+    return _reduce(target, out, den * a._den)
 
 
 def deriv_even(a: SuperElem, name: str) -> SuperElem:
@@ -398,15 +489,15 @@ def deriv_even(a: SuperElem, name: str) -> SuperElem:
     Distinct terms keep distinct keys, so nothing merges or cancels.
     """
     i = a.table.even_index(name)
-    terms: dict[Key, Fraction] = {}
-    for (exps, mask), c in a.terms.items():
+    num: dict[Key, int] = {}
+    for (exps, mask), c in a._num.items():
         e = exps[i]
         if e == 0:
             continue
         new = list(exps)
         new[i] = e - 1
-        terms[(tuple(new), mask)] = c * e
-    return _adopt(a.table, terms)
+        num[(tuple(new), mask)] = c * e
+    return _reduce(a.table, num, a._den)
 
 
 def deriv_odd_left(a: SuperElem, name: str) -> SuperElem:
@@ -418,17 +509,17 @@ def deriv_odd_left(a: SuperElem, name: str) -> SuperElem:
     """
     i = a.table.odd_index(name)
     bit = 1 << i
-    terms: dict[Key, Fraction] = {}
-    for (exps, mask), c in a.terms.items():
+    num: dict[Key, int] = {}
+    for (exps, mask), c in a._num.items():
         if not mask & bit:
             continue
-        terms[(exps, mask ^ bit)] = -c if (mask & (bit - 1)).bit_count() & 1 else c
-    return _adopt(a.table, terms)
+        num[(exps, mask ^ bit)] = -c if (mask & (bit - 1)).bit_count() & 1 else c
+    return _reduce(a.table, num, a._den)
 
 
 def truncate_J(a: SuperElem, k: int) -> SuperElem:
     """Drop every term with J-degree (number of odd factors) >= k."""
-    return _adopt(a.table, {key: c for key, c in a.terms.items() if key[1].bit_count() < k})
+    return _reduce(a.table, {key: c for key, c in a._num.items() if key[1].bit_count() < k}, a._den)
 
 
 # -- parsing and formatting --------------------------------------------------
@@ -520,12 +611,13 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> SuperElem:
-        out = dict(self.parse_term().terms)
+        first = self.parse_term()
+        out, den = dict(first._num), first._den
         while self.peek()[0] in "+-":
             op = self.next()[0]
             rhs = self.parse_term()
-            _add_into(out, (rhs if op == "+" else -rhs).terms)
-        return _adopt(self.table, out)
+            den = _add_into(out, den, (rhs if op == "+" else -rhs)._num, rhs._den)
+        return _reduce(self.table, out, den)
 
     def parse_term(self) -> SuperElem:
         out = self.parse_factor()

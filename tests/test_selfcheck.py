@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 from supergeo import cli, selfcheck
 from supergeo.selfcheck import (
@@ -20,12 +21,17 @@ from supergeo.supermat import matmul
 
 def assert_canonical(e):
     """Every key is ((e1, e2), mask) with exponents in [-3, 3] and a 2-odd-variable
-    mask, and every coefficient is a nonzero Fraction."""
+    mask, every coefficient is a nonzero Fraction, and the numerators are
+    nonzero ints over a denominator that divides 6 and shares no factor with
+    all of them."""
     for key, c in e.terms.items():
         exps, mask = key
         assert len(exps) == 2 and all(type(x) is int and -3 <= x <= 3 for x in exps), key
         assert type(mask) is int and 0 <= mask < 4, key
         assert type(c) is Fraction and c != 0, (key, c)
+    nums = list(e._num.values())
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert type(e._den) is int and 6 % e._den == 0 and gcd(e._den, *nums) == 1
 
 
 def test_generators_respect_parity():

@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
+from supergeo import selfcheck
 from supergeo.superalg import MAX_DEPTH, MAX_EXPONENT, int_digit_limit, printable
 
 from oracles import add, elem_to_naive, j_degrees, mul, naive_add, naive_mul
@@ -344,9 +346,17 @@ def test_format_examples():
 # randomized properties, cross-checked against the naive oracle
 # ---------------------------------------------------------------------------
 
-coeffs = st.fractions(
+narrow_coeffs = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 ).filter(lambda q: q != 0)
+# coprime denominators and powers of 2 reach the lcm and gcd rescaling of the
+# kernel's one shared denominator; numerators past 10^20 reach big ints
+wide_coeffs = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.sampled_from([10**20 + 1, -3 * 10**21, 2**70])).filter(bool),
+    st.sampled_from([1, 2, 4, 64, 7, 11, 13]),
+)
+coeffs = st.one_of(narrow_coeffs, wide_coeffs)
 exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 masks = st.integers(0, 3)
 terms = st.lists(st.tuples(coeffs, exps, masks), max_size=4)
@@ -367,6 +377,10 @@ homogeneous = st.one_of(even_elems, odd_elems)
 
 
 @settings(max_examples=60, deadline=None)
+@example(
+    SuperElem(T, {((1, 0), 0): Fraction(1, 7), ((0, 0), 1): Fraction(10**20 + 1, 4)}),
+    SuperElem(T, {((-1, 0), 0): Fraction(7, 11), ((0, 1), 2): Fraction(-1, 13)}),
+)
 @given(elems, elems)
 def test_property_mul_matches_naive_oracle(a, b):
     assert elem_to_naive(mul(a, b)) == naive_mul(
@@ -434,6 +448,7 @@ def test_constant_hashes_like_its_fraction():
     assert SuperElem.one(T) in {1}
     assert {Fraction(3, 2): "x"}[SuperElem.const(T, Fraction(3, 2))] == "x"
     assert hash(SuperElem.const(T, Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(SuperElem.const(T, Fraction(1, 2))) == hash(Fraction(1, 2))
     assert hash(SuperElem.zero(T)) == hash(Fraction(0))
     assert 0 in {SuperElem.zero(T)}
     assert hash(E("1 + t1*t2")) == hash(E("t1*t2 + 1"))
@@ -449,7 +464,17 @@ even_units = st.builds(unit_from, coeffs, exps, even_elems)
 
 
 def assert_canonical(x):
+    """Nonzero int numerators over one den >= 1 sharing no factor with all of
+    them; `terms` reads each as a nonzero Fraction; rebuilt from those
+    Fractions the element is equal and hashes equal."""
+    nums, den = list(x._num.values()), x._den
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert gcd(den, *nums) == 1
+    assert list(x.terms) == list(x._num) and len(x.terms) == len(nums)
     assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
+    twin = SuperElem(x.table, dict(x.terms))
+    assert twin == x and hash(twin) == hash(x)
 
 
 def assert_kernel_output(op, *operands):
@@ -474,6 +499,38 @@ def test_property_kernel_results_are_canonical(a, b, u, n):
                    deriv_odd_left(x, "t2"), x.body(), *(truncate_J(x, k) for k in range(4))),
         a,
     )
+    # equal elements reached by different routes are equal and hash equal
+    for x, y in (((a + b) - b, a), (a * (b + 1), a * b + a),
+                 (u * invert_unit(u), SuperElem.one(T)), (a.body() + (a - a.body()), a)):
+        assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: E("z/2 + t1*t2/3").body(), ({((1, 0), 0): 1}, 2)),
+    (lambda: truncate_J(E("z/2 + t1*t2/3"), 2), ({((1, 0), 0): 1}, 2)),
+    (lambda: truncate_J(E("z/2 + t1*t2/3"), 0), ({}, 1)),
+    (lambda: deriv_even(E("z^2/2"), "z"), ({((1, 0), 0): 1}, 1)),
+    (lambda: deriv_odd_left(E("z/2 + t1"), "t1"), ({((0, 0), 0): 1}, 1)),
+    (lambda: SuperElem.const(T, Fraction(4, 6)), ({((0, 0), 0): 2}, 3)),
+    (lambda: E("1/2 + z/2") * 2, ({((0, 0), 0): 1, ((1, 0), 0): 1}, 1)),
+    (lambda: E("1/2 + t1") + E("1/2"), ({((0, 0), 0): 1, ((0, 0), 1): 1}, 1)),
+    (lambda: invert_unit(E("z/2 + t1/4")), ({((-1, 0), 0): 2, ((-2, 0), 1): -1}, 1)),
+], ids=["body", "truncate_J", "truncate_J-to-zero", "deriv_even", "deriv_odd_left", "const",
+        "mul", "add", "invert_unit"])
+def test_results_divide_out_a_common_factor(make, want):
+    # each result but `const` keeps a factor shared by its denominator and all
+    # its numerators unless the kernel divides it out; `const` takes 4/6 as 2/3
+    x = make()
+    assert_canonical(x)
+    assert (x._num, x._den) == want
+
+
+def test_selftest_odd_part_divides_out_a_common_factor():
+    # 1/2 + t1 over the generators' denominator 6: its odd part 6/6 is t1
+    raw = {((0, 0), 0): 3, ((0, 0), 1): 6}
+    x = selfcheck._reduce(selfcheck.TABLE, selfcheck._odd_part(raw), selfcheck.DEN)
+    assert_canonical(x)
+    assert (x._num, x._den) == ({((0, 0), 1): 1}, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,7 +34,15 @@ def E(text, table=T):
 
 # -- strategies over T: masks 0 and 3 are even, 1 and 2 odd, 3 is nilpotent ----
 
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+narrow_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+# coprime denominators, powers of 2 and numerators past 10^20: the lcm and gcd
+# rescaling of the kernel's shared denominator, and big ints
+wide_coeffs = st.builds(
+    Fraction,
+    st.one_of(st.integers(-12, 12), st.sampled_from([10**20 + 1, -3 * 10**21, 2**70])).filter(bool),
+    st.sampled_from([1, 2, 4, 64, 7, 11, 13]),
+)
+coeffs = st.one_of(narrow_coeffs, wide_coeffs)
 exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 
 
