@@ -1,13 +1,19 @@
 """Builders for the 2|2 supermanifold families over the projective plane.
 
 The reduced manifold is covered by the three standard affine charts; the odd
-structure is a rank-2 bundle given by a 2x2 matrix cocycle M with det matching
-the O(-3) cocycle, and the single even deformation is controlled by an exact
-rational parameter lam.  The two named families take the same two steps as
-`build_generic` (validate the cocycle, assemble the atlas) on built-in
-cocycles derived from the cover in `atlas`, validated once per process.
-Everything here is constructed symbolically and then verified by the exact
-loop composition.
+structure is a rank-2 sheaf F given by a 2x2 matrix cocycle M, and the single
+even deformation is controlled by an exact rational parameter lam.  F's
+identification Sym^2 F = K = O(-3) is one rule on the cover,
+
+    det M_{i<-j} = s_i * s_j * pivot^k  with  k = -3,
+
+for constant frame signs s_i = +-1 (rescaling chart i's first odd coordinate
+by s_i makes every det +1/pivot^3).  One reader, `_det_frame`, reads k and s
+for `build_generic`, which then needs k = -3, and for `frame_signs`.  The two
+named families take the same two steps as `build_generic` (validate the
+cocycle, assemble the atlas) on built-in cocycles derived from the cover in
+`atlas`, validated once per process.  Everything here is constructed
+symbolically and then verified by the exact loop composition.
 """
 
 from __future__ import annotations
@@ -89,60 +95,40 @@ def cotangent_cocycle() -> MatrixCocycle:
     return MatrixCocycle(mats)
 
 
-def _match_monomial(elem: SuperElem, var: str) -> tuple[int, int]:
-    """Match elem == sign * var^k (sign +-1); returns (sign, k)."""
-    if len(elem.terms) != 1:
-        raise SuperError(f"not a single Laurent term: {format_elem(elem)}")
-    (exps, mask), c = next(iter(elem.terms.items()))
-    if mask:
-        raise SuperError(f"unexpected odd factors in {format_elem(elem)}")
-    if c not in (1, -1):
-        raise SuperError(f"coefficient {c} is not +-1 in {format_elem(elem)}")
-    idx = elem.table.even_index(var)
-    for m, e in enumerate(exps):
-        if m != idx and e != 0:
-            raise SuperError(
-                f"{format_elem(elem)} involves {elem.table.even[m]}, expected a power of {var}"
-            )
-    return (1 if c == 1 else -1, exps[idx])
+def _det_frame(mc: MatrixCocycle) -> tuple[int, dict[int, int]]:
+    """F's det rule (module docstring) read off mc: the twist k and the frame
+    signs s; raises SuperError otherwise.
 
-
-def _det_powers(mc: MatrixCocycle) -> dict[tuple[int, int], tuple[int, int]]:
-    """(sign, k) with det M_{i<-j} = sign * pivot^k, one det per overlap."""
-    powers = {}
-    for pair in CYCLIC:
-        det = det_even(mc.matrices[pair])
-        try:
-            powers[pair] = _match_monomial(det, pivot(pair))
-        except SuperError as exc:
-            raise SuperError(f"overlap {pair[0]}<-{pair[1]}: det does not match any O(k) cocycle: {exc}") from exc
-    return powers
-
-
-def _det_twist(powers) -> int:
-    """The k shared by all three dets (`_frame_signs` checks their signs)."""
-    k_vals = {pair: k for pair, (_sign, k) in powers.items()}
-    ks = set(k_vals.values())
-    if len(ks) != 1:
-        raise SuperError(f"det exponents disagree across overlaps: {k_vals}")
-    return ks.pop()
-
-
-def _frame_signs(powers) -> dict[int, int]:
-    """Constant rebasing s with s_i/s_j = sign(det M_{i<-j}): s = +1 on the
-    source chart of the first CYCLIC overlap, then solved round the loop.
-
-    Such s exists exactly when the three det signs multiply to +1.  After
-    rescaling the first odd frame of chart i by s_i, every det becomes
-    +1/pivot^3; the anchor keeps the first overlap's deformation term with a plus sign.
+    Each det must be +-pivot^k, with one k for all three overlaps.  s is +1 on
+    the source chart of the first CYCLIC overlap, whose deformation term so
+    keeps its plus sign, then solved round the loop; it exists exactly when
+    the three det signs multiply to +1.
     """
-    eps = {pair: sign for pair, (sign, _k) in powers.items()}
+    signs, ks = {}, {}
+    for pair in CYCLIC:
+        det, var = det_even(mc.matrices[pair]), pivot(pair)
+        (exps, mask), c = next(iter(det.terms.items()), ((None, 0), 0))  # read once len is 1
+        idx = det.table.even_index(var)
+        if len(det.terms) != 1:
+            why = f"not a single Laurent term: {format_elem(det)}"
+        elif mask:
+            why = f"unexpected odd factors in {format_elem(det)}"
+        elif c not in (1, -1):
+            why = f"coefficient {c} is not +-1 in {format_elem(det)}"
+        elif other := [det.table.even[m] for m, e in enumerate(exps) if m != idx and e]:
+            why = f"{format_elem(det)} involves {other[0]}, expected a power of {var}"
+        else:
+            signs[pair], ks[pair] = int(c), exps[idx]
+            continue
+        raise SuperError(f"overlap {pair[0]}<-{pair[1]}: det does not match any O(k) cocycle: {why}")
+    if len(set(ks.values())) != 1:
+        raise SuperError(f"det exponents disagree across overlaps: {ks}")
     s = {CYCLIC[0][1]: 1}
     for i, j in CYCLIC[1:] + CYCLIC[:1]:  # from the anchor round the loop and back to it
-        s_j = eps[(i, j)] * s[i]  # the signs are +-1, so s_i / eps_ij = eps_ij * s_i
+        s_j = signs[(i, j)] * s[i]  # the signs are +-1, so s_i / sign_ij = sign_ij * s_i
         if s.setdefault(j, s_j) != s_j:  # back on the anchor, the loop must close
-            raise SuperError(f"det signs {eps} are not a coboundary; no O(k) identification")
-    return s
+            raise SuperError(f"det signs {signs} are not a coboundary; no O(k) identification")
+    return ks[CYCLIC[0]], s
 
 
 def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
@@ -158,7 +144,8 @@ def fermionic_cocycle(atlas: Atlas) -> MatrixCocycle:
 
 
 def frame_signs(atlas: Atlas) -> dict[int, int]:
-    return _frame_signs(_det_powers(fermionic_cocycle(atlas)))
+    """The frame signs s of the atlas's odd blocks, by the rule `build_generic` checks."""
+    return _det_frame(fermionic_cocycle(atlas))[1]
 
 
 def build_generic(mc: MatrixCocycle, lam) -> Atlas:
@@ -166,7 +153,7 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 
     Validates the cocycle invariants first (`_validate`).  The deformation
     term on overlap (i<-j) is lam * s_j * t1j*t2j / pivot^2 with the frame
-    signs s solved from the det signs (`_frame_signs`), added to the corrected
+    signs s solved from the det signs (`_det_frame`), added to the corrected
     coordinate.
     """
     lam = Fraction(lam)
@@ -177,17 +164,24 @@ def build_generic(mc: MatrixCocycle, lam) -> Atlas:
 def _validate(mc: MatrixCocycle) -> dict[int, int]:
     """The frame signs s of a valid cocycle; raises SuperError otherwise.
 
-    The grids must be 2x2, det must identify with the O(-3) cocycle (twist -3,
-    pivot powers), and M_{0<-1} M_{1<-2} M_{2<-0} must be the identity on chart 0.
+    The grids must be 2x2, det must identify with the O(-3) cocycle (`_det_frame`
+    with twist -3), and M_{0<-1} M_{1<-2} M_{2<-0} must be the identity on
+    chart 0, read along the reduced walk.
     """
     if mc.size != 2:  # _assemble reads a 2x2 odd block
         raise SuperError(f"overlap {CYCLIC[0]}: matrix is not 2x2")
-    powers = _det_powers(mc)
-    twist = _det_twist(powers)
-    s = _frame_signs(powers)
+    twist, s = _det_frame(mc)
     if twist != -3:
         raise SuperError(f"matrix cocycle has det twist {twist}, need -3")
-    _check_matrix_cocycle(mc)
+    prod = cycle_product(_reduced_walk(), mc)
+    bad = [
+        f"[{a}][{b}] = {format_elem(entry)}"
+        for a, row in enumerate(prod)
+        for b, entry in enumerate(row)
+        if entry != int(a == b)
+    ]
+    if bad:
+        raise SuperError("matrix cocycle violates M01*M12*M20 = 1: " + "; ".join(bad))
     return s
 
 
@@ -222,19 +216,6 @@ def _valid_decomposable() -> tuple[MatrixCocycle, dict[int, int]]:
 def _valid_cotangent() -> tuple[MatrixCocycle, dict[int, int]]:
     mc = cotangent_cocycle()
     return mc, _validate(mc)
-
-
-def _check_matrix_cocycle(mc: MatrixCocycle) -> None:
-    """M_{0<-1} M_{1<-2} M_{2<-0} == identity, read on chart 0 along the reduced walk."""
-    prod = cycle_product(_reduced_walk(), mc)
-    bad = [
-        f"[{a}][{b}] = {format_elem(entry)}"
-        for a, row in enumerate(prod)
-        for b, entry in enumerate(row)
-        if entry != int(a == b)
-    ]
-    if bad:
-        raise SuperError("matrix cocycle violates M01*M12*M20 = 1: " + "; ".join(bad))
 
 
 # -- the Pi-projective plane via big cells ------------------------------------

@@ -6,7 +6,9 @@ are counted by bubble sort, determinants are expanded over permutations, and
 cohomology dimensions are obtained by brute-force monomial enumeration.  None
 of these helpers import anything from ``supergeo`` except the element type at
 the conversion boundary, and the parser that reads the hand-typed family
-tables.
+tables.  The odd sheaves ``split_cocycle(a)`` (O(a) + O(-3-a)) and
+``syzygy_cocycle(d)`` (the syzygy bundle of X0^d, X1^d, X2^d) are typed from
+their formulas the same way, and parsed into the ``MatrixCocycle`` type.
 
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
@@ -218,6 +220,58 @@ def family_assignments(strings, lam):
             name: parse(text, table, {"l": Fraction(lam)}) for name, text in assigns.items()
         }
     return out
+
+
+# ---------------------------------------------------------------------------
+# odd sheaves F from their formulas, entry by entry as text
+# ---------------------------------------------------------------------------
+#
+# Chart j's even coordinates z1j, z2j are X_c/X_j for the two c != j in
+# increasing order, and overlap (i <- j) divides by X_i/X_j.  Each entry is
+# typed from its formula in these ratios and parsed over chart j; of the
+# library's cover, only the chart tables are read.
+
+
+def _others(j: int) -> list[int]:
+    return [c for c in range(3) if c != j]
+
+
+def _ratio(c: int, j: int) -> str:
+    """The name of X_c/X_j over chart j, for c != j."""
+    return f"z{_others(j).index(c) + 1}{j}"
+
+
+def _formula_cocycle(entry) -> MatrixCocycle:
+    """The 2x2 cocycle whose (i <- j) grid holds the text entry(i, j, p, q)
+    at row p, column q, parsed over chart j."""
+    return MatrixCocycle({
+        (i, j): [[parse(entry(i, j, p, q), standard_chart(j)) for q in (0, 1)] for p in (0, 1)]
+        for i, j in ((0, 1), (1, 2), (2, 0))
+    })
+
+
+def split_cocycle(a: int) -> MatrixCocycle:
+    """O(a) + O(-3-a): diag((X_i/X_j)^a, (X_i/X_j)^(-3-a)) on (i <- j)."""
+    return _formula_cocycle(
+        lambda i, j, p, q: f"{_ratio(i, j)}^{(a, -3 - a)[p]}" if p == q else "0"
+    )
+
+
+def syzygy_cocycle(d: int) -> MatrixCocycle:
+    """F_d = ker(O(a)^3 -> O(a+d)), the map (X0^d, X1^d, X2^d), a = (d-3)/2 for odd d.
+
+    Chart j's frame is e_c = X_j^a (delta_c - (X_c/X_j)^d delta_j) for c != j,
+    so on (i <- j) the entry at row c' != i, column c != j is
+    (X_i/X_j)^a * (delta(c, c') - delta(c, i) * (X_c'/X_i)^d).
+    """
+    a = (d - 3) // 2
+
+    def entry(i, j, p, q):
+        row, col, piv = _others(i)[p], _others(j)[q], _ratio(i, j)
+        power = f"{piv}^{-d}" if row == j else f"{_ratio(row, j)}^{d}*{piv}^{-d}"  # (X_c'/X_i)^d
+        return f"{piv}^{a}*({int(col == row)} - {int(col == i)}*{power})"
+
+    return _formula_cocycle(entry)
 
 
 # ---------------------------------------------------------------------------

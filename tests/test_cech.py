@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -33,7 +34,7 @@ from supergeo import (
     substitute,
     truncate_J,
 )
-from supergeo.atlas import CYCLIC
+from supergeo.atlas import CYCLIC, pivot_power
 from supergeo.cech import MAX_BASIS, _comb, _homogenize, _top_class
 from supergeo.families import build_decomposable, build_omega1, build_pi_plane, decomposable_cocycle, frame_signs
 
@@ -332,6 +333,42 @@ def test_picard_delta_rejects_non_cocycle_lift():
     grids[(2, 0)] = [[lift * parse("z20", standard_chart(0))]]
     with pytest.raises(SuperError, match="lift reductions do not form a cocycle"):
         picard_delta(atlas, lifts=MatrixCocycle(grids))
+
+
+PICARD_ATLASES = {
+    **{
+        f"{family.__name__}-{lam}": partial(family, lam)
+        for family in (build_decomposable, build_omega1)
+        for lam in (Fraction(0), Fraction(3, 2), Fraction(-7, 3))
+    },
+    "pi-plane": build_pi_plane,
+}
+
+
+def degree_lift(k: int) -> MatrixCocycle:
+    """The lift of O(k): pivot^k on each overlap, the k-th power of the default lift."""
+    return MatrixCocycle({pair: [[pivot_power(pair, k)]] for pair in CYCLIC})
+
+
+@pytest.mark.parametrize("name", sorted(PICARD_ATLASES))
+def test_picard_delta_is_linear_in_the_lift_degree(name):
+    atlas = PICARD_ATLASES[name]()
+    one = picard_delta(atlas)
+    for k in range(-3, 4):
+        assert picard_delta(atlas, lifts=degree_lift(k)) == CohClass({m: k * c for m, c in one.coeffs.items()}), k
+
+
+@pytest.mark.parametrize("name", sorted(PICARD_ATLASES))
+@pytest.mark.parametrize("h", ["z21*z11^-2", "3/2*z21^2*z11^-5 + 7"])
+def test_picard_delta_ignores_a_j2_gauge_of_the_lift(name, h):
+    # 1 + h*t11*t21, with h regular on U01, is 1 mod J: a new lift of the same class
+    atlas = PICARD_ATLASES[name]()
+    gauge = parse(f"1 + ({h})*t11*t21", standard_chart(1))
+    for k in (1, -2):
+        grids = degree_lift(k).matrices
+        ((lift,),) = grids[(0, 1)]
+        grids[(0, 1)] = [[lift * gauge]]
+        assert picard_delta(atlas, lifts=MatrixCocycle(grids)) == picard_delta(atlas, lifts=degree_lift(k)), k
 
 
 @pytest.mark.parametrize("family", [build_decomposable, build_omega1])

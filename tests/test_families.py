@@ -17,9 +17,12 @@ from oracles import (
     j_degrees,
     normal_form_map,
     rescale_odd,
+    split_cocycle,
+    syzygy_cocycle,
 )
 from supergeo import (
     Atlas,
+    CohClass,
     MatrixCocycle,
     SuperElem,
     SuperError,
@@ -38,14 +41,18 @@ from supergeo import (
     fermionic_cocycle,
     format_elem,
     frame_signs,
+    is_calabi_yau,
     jacobian,
     normal_form_signs,
+    obstruction_delta,
+    omega_cocycle_sum,
     parse,
+    picard_delta,
     standard_chart,
     substitute,
     sym_restricted_rank,
 )
-from supergeo.atlas import reduced_transition, transition_berezinian
+from supergeo.atlas import CHARTS, CYCLIC, pivot, reduced_transition, transition_berezinian
 from supergeo.cli import run
 from test_acceptance import _split_minus_one_twice_atlas
 from test_layering import LAYERS, README, quick_tour
@@ -94,6 +101,19 @@ def test_builders_accept_rational_lambda():
     assert z20 == parse("z21/z11 + 3/2*t11*t21/z11^2", T1)
 
 
+def test_hand_typed_notes_name_the_cover_facts():
+    # the notes appear in every verify-atlas report
+    dec = build_decomposable(Fraction(3, 2)).notes
+    om = build_omega1(Fraction(3, 2))
+    assert re.search(r"with pivots (\w+), (\w+), (\w+)$", dec[0]).groups() == tuple(pivot(p) for p in CYCLIC)
+    for notes in (dec, om.notes):
+        (note,) = (n for n in notes if n.startswith("(2<-0)"))
+        assert re.search(r"pivot (\w+)", note)[1] == pivot((2, 0))
+    (note,) = (n for n in om.notes if "frame rebasing" in n)
+    signs = re.search(r"s = \(([-+]1), ([-+]1), ([-+]1)\)", note).groups()
+    assert tuple(map(int, signs)) == tuple(frame_signs(om)[i] for i in CHARTS)
+
+
 # ---------------------------------------------------------------------------
 # matrix cocycles and the generic builder
 # ---------------------------------------------------------------------------
@@ -128,7 +148,7 @@ def test_matrix_cocycle_names_the_overlap():
 
 
 def test_build_generic_refuses_a_grid_over_the_wrong_chart():
-    # (0<-1) written over chart 0 used to escape _match_monomial as a bare ValueError
+    # (0<-1) written over chart 0 used to escape the det check as a bare ValueError
     mats = {**decomposable_cocycle().matrices, (0, 1): [[parse("1/z10", T0), parse("0", T0)],
                                                         [parse("0", T0), parse("z10^-2", T0)]]}
     with pytest.raises(SuperError, match=r"^overlap \(0, 1\): matrix entry not written over chart 1$"):
@@ -198,6 +218,43 @@ def test_det_sign_rule_raises_one_message():
     with pytest.raises(SuperError) as by_atlas:
         frame_signs(atlas)
     assert str(by_build.value) == str(by_atlas.value) == want
+
+
+def test_det_exponent_rule_raises_one_message():
+    # as above, for the exponents: (1<-2) has det pivot^-2 where the others have pivot^-3
+    mats = decomposable_cocycle().matrices
+    mats[(1, 2)] = [[parse("1/z22", T2), parse("0", T2)],
+                    [parse("0", T2), parse("1/z22", T2)]]
+    atlas = build_decomposable(Fraction(0))
+    f = atlas.map(1, 2)
+    lowered = TransitionMap(f.source, f.target, {**f.assignment, "t21": f.assignment["t21"] * parse("z22", T2)})
+    atlas = Atlas({**atlas.maps, (1, 2): lowered})
+    want = "det exponents disagree across overlaps: {(0, 1): -3, (1, 2): -2, (2, 0): -3}"
+    with pytest.raises(SuperError) as by_build:
+        build_generic(MatrixCocycle(mats), 1)
+    with pytest.raises(SuperError) as by_atlas:
+        frame_signs(atlas)
+    assert str(by_build.value) == str(by_atlas.value) == want
+
+
+def test_formula_cocycles_give_the_named_ones():
+    assert syzygy_cocycle(1).matrices == cotangent_cocycle().matrices
+    assert split_cocycle(-1).matrices == decomposable_cocycle().matrices
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(3, 2), Fraction(-7, 3)])
+def test_build_generic_accepts_a_syzygy_bundle(d, lam):
+    # F_3 is not split: h^1(F_3) = 7 by its defining sequence, and Horrocks'
+    # criterion splits a bundle on P^2 only when every h^1(F(k)) is 0
+    atlas = build_generic(syzygy_cocycle(d), lam)
+    assert check_cocycle_loop(atlas).ok
+    assert is_calabi_yau(atlas).ok
+    assert frame_signs(atlas) == {0: -1, 1: 1, 2: -1}
+    want = CohClass({(-1, -1, -1): lam})
+    assert picard_delta(atlas) == want
+    assert obstruction_delta(atlas) == want
+    assert all(v.is_zero() for v in omega_cocycle_sum(atlas).values())
 
 
 def test_fermionic_cocycle_round_trip():
