@@ -57,8 +57,15 @@ class UsageError(Exception):
     pass
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")  # starts a value such as -7/3 or -1e2; argparse's own test reads an option
+
+
 class _Parser(argparse.ArgumentParser):
     hint = ""  # added to a missing-argument error of this (sub)parser
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER  # private argparse API; tests pin it
 
     def error(self, message):  # keep exit-code control in run()
         if self.hint and message.startswith("the following arguments are required"):
@@ -273,20 +280,9 @@ def _omega_cocycle(atlas, args):
     return ("pass" if not nonzero else "fail"), details
 
 
-# name -> (help text, body (atlas, args) -> (outcome, details)), in help order
-ATLAS_COMMANDS = {
-    "verify-atlas": ("loop identity + reduced-part check", _verify_atlas),
-    "berezinian": ("Berezinian of one overlap Jacobian", _berezinian),
-    "calabi-yau": ("constancy of all transition Berezinians", _calabi_yau),
-    "obstruction": ("obstruction class in H^2(O(-3))", _obstruction),
-    "picard-chase": ("even-Picard connecting map on the degree-1 lift", _picard_chase),
-    "omega-cocycle": ("chart-0 sum of the deformation derivations", _omega_cocycle),
-}
-
-
 def _cmd_atlas(args):
     atlas, lam = _get_atlas(args)
-    outcome, details = ATLAS_COMMANDS[args.command][1](atlas, args)
+    outcome, details = COMMANDS[args.command][1](atlas, args)
     return outcome, {**details, "lambda": str(lam)}
 
 
@@ -355,57 +351,54 @@ def _cmd_selftest(args):
     return ("pass" if rep["ok"] else "fail"), rep
 
 
+_ATLAS = "atlas"  # the options of a body run on the atlas that --family, --lambda and --matrix-json choose
+
+# name -> (help text, body, options), in help order.  Options name the required integer
+# options, or are _ATLAS: then the body takes (atlas, args) from _cmd_atlas.
+COMMANDS = {
+    "cohomology": ("dim (and top-degree basis) of H^q(P^n, O(k))", _cmd_cohomology, ("n", "k", "q")),
+    "bott": ("dim H^q(P^n, Omega^p(k)) by the Bott formula", _cmd_bott, ("n", "p", "k", "q")),
+    "h1-tangent": ("dim H^1(P^n, T(k)) two independent ways", _cmd_h1_tangent, ("n", "k")),
+    "verify-atlas": ("loop identity + reduced-part check", _verify_atlas, _ATLAS),
+    "berezinian": ("Berezinian of one overlap Jacobian", _berezinian, _ATLAS),
+    "calabi-yau": ("constancy of all transition Berezinians", _calabi_yau, _ATLAS),
+    "obstruction": ("obstruction class in H^2(O(-3))", _obstruction, _ATLAS),
+    "picard-chase": ("even-Picard connecting map on the degree-1 lift", _picard_chase, _ATLAS),
+    "omega-cocycle": ("chart-0 sum of the deformation derivations", _omega_cocycle, _ATLAS),
+    "pi-plane-compare": ("big-cell atlas vs the lambda=1 cotangent family", _cmd_pi_plane_compare, ()),
+    "sym-rank": ("even|odd rank of the restricted symmetric power", _cmd_sym_rank, ("k",)),
+    "parse": ("canonicalize an expression (grammar round trip)", _cmd_parse, ()),
+    "selftest": ("seeded randomized property suite", _cmd_selftest, ()),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="supergeo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"supergeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (help_text, body, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_atlas if options == _ATLAS else body)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        return p
-
-    p = add("cohomology", _cmd_cohomology, "dim (and top-degree basis) of H^q(P^n, O(k))")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-
-    p = add("bott", _cmd_bott, "dim H^q(P^n, Omega^p(k)) by the Bott formula")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--p", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--q", type=_int, required=True)
-
-    p = add("h1-tangent", _cmd_h1_tangent, "dim H^1(P^n, T(k)) two independent ways")
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-
-    for name, (help_text, _) in ATLAS_COMMANDS.items():
-        p = add(name, _cmd_atlas, help_text)
-        p.add_argument("--family", choices=FAMILIES, required=True)
-        p.add_argument("--lambda", dest="lam", default="1", metavar="RATIONAL")
-        p.add_argument("--matrix-json", dest="matrix_json", metavar="FILE",
-                       help="matrix cocycle JSON (with --family generic)")
+        if options == _ATLAS:
+            p.add_argument("--family", choices=FAMILIES, required=True)
+            p.add_argument("--lambda", dest="lam", default="1", metavar="RATIONAL")
+            p.add_argument("--matrix-json", dest="matrix_json", metavar="FILE",
+                           help="matrix cocycle JSON (with --family generic)")
+        else:
+            for option in options:
+                p.add_argument(f"--{option}", type=_int, required=True)
     sub.choices["berezinian"].add_argument("--pair", type=_int, nargs=2, required=True, metavar=("I", "J"))
 
-    add("pi-plane-compare", _cmd_pi_plane_compare, "big-cell atlas vs the lambda=1 cotangent family")
-
-    p = add("sym-rank", _cmd_sym_rank, "even|odd rank of the restricted symmetric power")
-    p.add_argument("--k", type=_int, required=True)
-
-    p = add("parse", _cmd_parse, "canonicalize an expression (grammar round trip)")
+    p = sub.choices["parse"]
     p.add_argument("expr", help="expression text; put -- before one that starts with '-'")
     # argparse reads "-z10" as an unknown option and then misses expr
     p.hint = "put -- before an expression that starts with '-', as in: supergeo parse -- -z10"
     p.add_argument("--table", choices=sorted(_PARSE_TABLES), default="0")
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
 
-    p = add("selftest", _cmd_selftest, "seeded randomized property suite")
-    p.add_argument(
-        "--cases", type=_int, default=None, help=f"total case budget (default {DEFAULT_CASES}, at most {MAX_CASES})"
-    )
-
+    cases = f"total case budget (default {DEFAULT_CASES}, at most {MAX_CASES})"
+    sub.choices["selftest"].add_argument("--cases", type=_int, default=None, help=cases)
     return parser
 
 

@@ -8,7 +8,8 @@ of these helpers import anything from ``supergeo`` except the element type at
 the conversion boundary, and the parser that reads the hand-typed family
 tables.  The odd sheaves ``split_cocycle(a)`` (O(a) + O(-3-a)) and
 ``syzygy_cocycle(d)`` (the syzygy bundle of X0^d, X1^d, X2^d) are typed from
-their formulas the same way, and parsed into the ``MatrixCocycle`` type.
+their formulas the same way, and parsed into the ``MatrixCocycle`` type;
+``permute_cover`` relabels the homogeneous coordinates by a 3-cycle.
 
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
@@ -272,6 +273,35 @@ def syzygy_cocycle(d: int) -> MatrixCocycle:
         return f"{piv}^{a}*({int(col == row)} - {int(col == i)}*{power})"
 
     return _formula_cocycle(entry)
+
+
+def permute_cover(atlas: Atlas, sigma: tuple[int, int, int], odd: str) -> Atlas:
+    """The atlas with each X_c relabelled X_sigma[c], for a 3-cycle sigma.
+
+    Chart i's data becomes chart sigma[i]'s: z_mi = X_c/X_i is renamed to
+    chart sigma[i]'s name for X_sigma[c]/X_sigma[i].  With odd="follow" each
+    t_mi goes where z_mi goes; with odd="fixed" it keeps its index m.  A
+    3-cycle maps the cyclic overlaps to themselves, so no map is inverted.
+    """
+    if odd not in ("follow", "fixed"):
+        raise ValueError(f"odd must be 'follow' or 'fixed', got {odd!r}")
+
+    def rename(i: int) -> dict[str, str]:
+        names = {}
+        for m, c in enumerate(_others(i), 1):
+            image = _others(sigma[i]).index(sigma[c]) + 1
+            names[f"z{m}{i}"] = f"z{image}{sigma[i]}"
+            names[f"t{m}{i}"] = f"t{image if odd == 'follow' else m}{sigma[i]}"
+        return names
+
+    maps = {}
+    for (i, j), f in atlas.maps.items():
+        target, source = rename(i), rename(j)
+        table = standard_chart(sigma[j])
+        images = {name: SuperElem.var(table, new) for name, new in source.items()}
+        assignment = {target[name]: substitute(elem, images) for name, elem in f.assignment.items()}
+        maps[(sigma[i], sigma[j])] = TransitionMap(table, standard_chart(sigma[i]), assignment)
+    return Atlas(maps, atlas.notes)
 
 
 # ---------------------------------------------------------------------------

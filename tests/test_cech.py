@@ -24,6 +24,7 @@ from supergeo import (
     h1_tangent,
     h1_tangent_bott,
     h_line,
+    invert_unit,
     monomial_str,
     obstruction_delta,
     omega_cocycle_sum,
@@ -36,9 +37,16 @@ from supergeo import (
 )
 from supergeo.atlas import CYCLIC, pivot_power
 from supergeo.cech import MAX_BASIS, _comb, _homogenize, _top_class
-from supergeo.families import build_decomposable, build_omega1, build_pi_plane, decomposable_cocycle, frame_signs
+from supergeo.families import (
+    build_decomposable,
+    build_generic,
+    build_omega1,
+    build_pi_plane,
+    decomposable_cocycle,
+    frame_signs,
+)
 
-from oracles import count_h0, count_hn, j2_shift, omega_cocycle_sum_composed, rescale_odd
+from oracles import count_h0, count_hn, j2_shift, omega_cocycle_sum_composed, rescale_odd, syzygy_cocycle
 
 T0 = standard_chart(0)
 
@@ -342,6 +350,7 @@ PICARD_ATLASES = {
         for lam in (Fraction(0), Fraction(3, 2), Fraction(-7, 3))
     },
     "pi-plane": build_pi_plane,
+    "syzygy-3-5/2": lambda: build_generic(syzygy_cocycle(3), Fraction(5, 2)),
 }
 
 
@@ -369,6 +378,41 @@ def test_picard_delta_ignores_a_j2_gauge_of_the_lift(name, h):
         ((lift,),) = grids[(0, 1)]
         grids[(0, 1)] = [[lift * gauge]]
         assert picard_delta(atlas, lifts=MatrixCocycle(grids)) == picard_delta(atlas, lifts=degree_lift(k)), k
+
+
+# u_i = c_i*(1 + h_i*t1i*t2i), with h_i a polynomial on chart i: even units on U_i
+UNITS = {0: "2*(1 + (z10^2 + 3*z20)*t10*t20)", 1: "-3*(1 + (z11*z21 - 1)*t11*t21)", 2: "5/7*(1 + 7/2*z12^3*t12*t22)"}
+OTHER_UNITS = {0: "-1 + z20*t10*t20", 1: "4*(1 - z21^2*t11*t21)", 2: "1 + (z12 - z22)*t12*t22"}
+
+
+def gauged(atlas: Atlas, lifts: MatrixCocycle, units: dict[int, str]) -> MatrixCocycle:
+    """Each lift (i <- j) times u_i/u_j, with u_i pulled back to chart j by the map (i <- j)."""
+    u = {i: parse(text, standard_chart(i)) for i, text in units.items()}
+    return MatrixCocycle({
+        (i, j): [[lift * substitute(u[i], atlas.map(i, j).assignment) * invert_unit(u[j])]]
+        for (i, j), ((lift,),) in lifts.matrices.items()
+    })
+
+
+@pytest.mark.parametrize("name", sorted(PICARD_ATLASES))
+def test_picard_delta_ignores_a_coboundary_gauge_of_the_lift(name):
+    atlas = PICARD_ATLASES[name]()
+    for k in (1, -2, 3):
+        lifts = gauged(atlas, degree_lift(k), UNITS)
+        assert lifts.matrices != degree_lift(k).matrices
+        assert picard_delta(atlas, lifts=lifts) == picard_delta(atlas, lifts=degree_lift(k)), k
+
+
+@pytest.mark.parametrize("name", sorted(PICARD_ATLASES))
+def test_picard_delta_adds_over_a_product_of_lifts(name):
+    atlas = PICARD_ATLASES[name]()
+    b = gauged(atlas, degree_lift(1), OTHER_UNITS)
+    for k in (1, -2, 3):
+        a = gauged(atlas, degree_lift(k), UNITS)
+        product = MatrixCocycle({pair: [[a.matrices[pair][0][0] * b.matrices[pair][0][0]]] for pair in CYCLIC})
+        da, db = picard_delta(atlas, lifts=a).coeffs, picard_delta(atlas, lifts=b).coeffs
+        total = CohClass({m: da.get(m, 0) + db.get(m, 0) for m in {*da, *db}})
+        assert picard_delta(atlas, lifts=product) == total, k
 
 
 @pytest.mark.parametrize("family", [build_decomposable, build_omega1])

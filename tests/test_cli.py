@@ -264,6 +264,20 @@ def non_ascii_error(text):
     return f"numbers are written in ASCII digits, got {text!r}"
 
 
+@pytest.mark.parametrize("text", ["-7/3", "-1e2", "-.5"])
+def test_a_negative_rational_is_read_as_the_option_value(text):
+    # argparse's own negative-number test would read "-7/3" and "-1e2" as options
+    argv = ["obstruction", "--family", "decomposable"]
+    code, rep = report_of([*argv, "--lambda", text])
+    assert (code, rep) == report_of([*argv, f"--lambda={text}"])
+    assert (code, rep["inputs"]["lam"]) == (0, text)
+
+
+def test_a_value_that_starts_with_a_letter_is_still_an_option():
+    code, rep = report_of(["obstruction", "--family", "decomposable", "--lambda", "-x"])
+    assert (code, rep["details"]["error"]) == (2, "argument --lambda: expected one argument")
+
+
 def test_lambda_bounds_follow_the_process_limit(str_digits):
     str_digits(640)
     code, rep = report_of(["verify-atlas", "--family", "omega1", "--lambda", "1e641"])
@@ -484,6 +498,11 @@ def test_parse_command_leading_minus_without_double_dash_says_how():
     assert "put -- before an expression that starts with '-'" in rep["details"]["error"]
     code, rep = report_of(["parse", "z10", "--table", "9"])  # other usage errors get no hint
     assert "put --" not in rep["details"]["error"]
+
+
+@pytest.mark.parametrize("expr", ["-7/3", "-.5"])
+def test_parse_command_reads_a_leading_negative_number_without_double_dash(expr):
+    assert report_of(["parse", expr]) == report_of(["parse", "--", expr])
 
 
 def test_parse_command_syntax_error():
@@ -821,6 +840,29 @@ def test_the_parser_keeps_its_actions():
         for name, sub in subparsers().items()
     ]
     assert built == [(name, [*help_json, *actions]) for name, actions in PARSER_ACTIONS.items()]
+
+
+# subcommand -> its help text, in help order
+SUBCOMMAND_HELP = [
+    ("cohomology", "dim (and top-degree basis) of H^q(P^n, O(k))"),
+    ("bott", "dim H^q(P^n, Omega^p(k)) by the Bott formula"),
+    ("h1-tangent", "dim H^1(P^n, T(k)) two independent ways"),
+    ("verify-atlas", "loop identity + reduced-part check"),
+    ("berezinian", "Berezinian of one overlap Jacobian"),
+    ("calabi-yau", "constancy of all transition Berezinians"),
+    ("obstruction", "obstruction class in H^2(O(-3))"),
+    ("picard-chase", "even-Picard connecting map on the degree-1 lift"),
+    ("omega-cocycle", "chart-0 sum of the deformation derivations"),
+    ("pi-plane-compare", "big-cell atlas vs the lambda=1 cotangent family"),
+    ("sym-rank", "even|odd rank of the restricted symmetric power"),
+    ("parse", "canonicalize an expression (grammar round trip)"),
+    ("selftest", "seeded randomized property suite"),
+]
+
+
+def test_every_subcommand_keeps_its_help():
+    command = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert [(a.dest, a.help) for a in command._choices_actions] == SUBCOMMAND_HELP
 
 
 def test_berezinian_alone_requires_a_pair():

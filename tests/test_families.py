@@ -16,6 +16,7 @@ from oracles import (
     identity_cocycle,
     j_degrees,
     normal_form_map,
+    permute_cover,
     rescale_odd,
     split_cocycle,
     syzygy_cocycle,
@@ -255,6 +256,35 @@ def test_build_generic_accepts_a_syzygy_bundle(d, lam):
     assert picard_delta(atlas) == want
     assert obstruction_delta(atlas) == want
     assert all(v.is_zero() for v in omega_cocycle_sum(atlas).values())
+
+
+# name -> (the atlas at lambda, how its odd frames move under a relabelling of the X_c)
+PERMUTED_FAMILIES = {
+    "omega1": (build_omega1, "follow"),
+    "syzygy-3": (partial(build_generic, syzygy_cocycle(3)), "follow"),
+    "syzygy-5": (partial(build_generic, syzygy_cocycle(5)), "follow"),
+    "decomposable": (build_decomposable, "fixed"),
+    "split-0": (partial(build_generic, split_cocycle(0)), "fixed"),
+}
+THREE_CYCLES = [(1, 2, 0), (2, 0, 1)]  # X_c -> X_sigma[c]
+
+
+@pytest.mark.parametrize("sigma", THREE_CYCLES)
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(3, 2), Fraction(-7, 3)])
+@pytest.mark.parametrize("name", sorted(PERMUTED_FAMILIES))
+def test_a_three_cycle_of_the_cover_fixes_the_family(name, lam, sigma):
+    build, odd = PERMUTED_FAMILIES[name]
+    atlas = build(lam)
+    assert atlas_equal(permute_cover(atlas, sigma, odd), atlas)
+    other = {"follow": "fixed", "fixed": "follow"}[odd]
+    assert not atlas_equal(permute_cover(atlas, sigma, other), atlas)  # the control
+
+
+@pytest.mark.parametrize("sigma", THREE_CYCLES)
+def test_a_three_cycle_of_the_cover_fixes_the_pi_plane(sigma):
+    atlas = build_pi_plane()
+    assert atlas_equal(permute_cover(atlas, sigma, "follow"), atlas)
+    assert not atlas_equal(permute_cover(atlas, sigma, "fixed"), atlas)
 
 
 def test_fermionic_cocycle_round_trip():
