@@ -77,7 +77,7 @@ def pivot_power(pair: tuple[int, int], n: int) -> SuperElem:
     """pivot^n over chart j, built as a single Laurent term."""
     table = standard_chart(pair[1])
     exps = [0] * len(table.even)
-    exps[table.even_index(pivot(pair))] = n
+    exps[table.even.index(pivot(pair))] = n
     return SuperElem(table, {(tuple(exps), 0): Fraction(1)})
 
 

@@ -44,7 +44,7 @@ from .families import (
     build_generic,
     build_omega1,
     build_pi_plane,
-    normal_forms,
+    normal_form_signs,
     sym_restricted_rank,
 )
 from .selfcheck import DEFAULT_CASES, DEFAULT_SEED, MAX_CASES, run_all
@@ -244,7 +244,7 @@ def _berezinian(atlas, args):
     raw = transition_berezinian(atlas.map(*pair))
     details = {
         "pair": _pair_str(pair),
-        "value": format_elem(normal_forms(atlas, {pair: raw})[pair]),
+        "value": format_elem(raw * normal_form_signs(atlas)[pair]),
         "raw_value": format_elem(raw),
     }
     return "value", details
@@ -252,11 +252,11 @@ def _berezinian(atlas, args):
 
 def _calabi_yau(atlas, args):
     rep = is_calabi_yau(atlas)
-    normal = normal_forms(atlas, {p: rep.berezinians[p] for p in CYCLIC})
+    signs = normal_form_signs(atlas)
     details = {
         "flag": rep.ok,
         "berezinians": {_pair_str(k): format_elem(v) for k, v in rep.berezinians.items()},
-        "normal_form": {_pair_str(p): format_elem(v) for p, v in normal.items()},
+        "normal_form": {_pair_str(p): format_elem(rep.berezinians[p] * signs[p]) for p in CYCLIC},
     }
     return ("pass" if rep.ok else "fail"), details
 
@@ -391,9 +391,9 @@ def _build_parser() -> _Parser:
     sub.choices["berezinian"].add_argument("--pair", type=_int, nargs=2, required=True, metavar=("I", "J"))
 
     p = sub.choices["parse"]
-    p.add_argument("expr", help="expression text; put -- before one that starts with '-'")
+    p.add_argument("expr", help="expression text; put -- before one that starts with '-' but not a number")
     # argparse reads "-z10" as an unknown option and then misses expr
-    p.hint = "put -- before an expression that starts with '-', as in: supergeo parse -- -z10"
+    p.hint = "put -- before an expression that starts with '-' but not a number, as in: supergeo parse -- -z10"
     p.add_argument("--table", choices=sorted(_PARSE_TABLES), default="0")
     p.add_argument("--bind", action="append", metavar="NAME=VALUE")
 

@@ -108,7 +108,7 @@ def _det_frame(mc: MatrixCocycle) -> tuple[int, dict[int, int]]:
     for pair in CYCLIC:
         det, var = det_even(mc.matrices[pair]), pivot(pair)
         (exps, mask), c = next(iter(det.terms.items()), ((None, 0), 0))  # read once len is 1
-        idx = det.table.even_index(var)
+        idx = det.table.even.index(var)
         if len(det.terms) != 1:
             why = f"not a single Laurent term: {format_elem(det)}"
         elif mask:
@@ -313,13 +313,7 @@ def normal_form_signs(atlas: Atlas) -> dict[tuple[int, int], int]:
     return signs
 
 
-def normal_forms(atlas: Atlas, raw: dict[tuple[int, int], SuperElem]) -> dict[tuple[int, int], SuperElem]:
-    """Each given raw Berezinian of a cyclic overlap in normal form: the raw
-    value times its `normal_form_signs` entry, written over chart j's table."""
-    signs = normal_form_signs(atlas)
-    return {pair: value * signs[pair] for pair, value in raw.items()}
-
-
 def berezinian_normal_form(atlas: Atlas, pair: tuple[int, int]) -> SuperElem:
-    """Berezinian of the overlap map in the theorem arrangement (`normal_forms`)."""
-    return normal_forms(atlas, {pair: transition_berezinian(atlas.map(*pair))})[pair]
+    """Berezinian of the overlap map in the theorem arrangement: the raw value
+    times its `normal_form_signs` entry."""
+    return transition_berezinian(atlas.map(*pair)) * normal_form_signs(atlas)[pair]

@@ -79,12 +79,6 @@ class VarTable:
     def __hash__(self):
         return hash((self.even, self.odd))
 
-    def even_index(self, name: str) -> int:
-        return self.even.index(name)
-
-    def odd_index(self, name: str) -> int:
-        return self.odd.index(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return self.even + self.odd
@@ -183,10 +177,10 @@ class SuperElem:
     def var(cls, table: VarTable, name: str) -> "SuperElem":
         if name in table.even:
             e = [0] * len(table.even)
-            e[table.even_index(name)] = 1
+            e[table.even.index(name)] = 1
             return _adopt(table, {(tuple(e), 0): 1}, 1)
         if name in table.odd:
-            return _adopt(table, {((0,) * len(table.even), 1 << table.odd_index(name)): 1}, 1)
+            return _adopt(table, {((0,) * len(table.even), 1 << table.odd.index(name)): 1}, 1)
         raise SuperError(f"unknown variable {name!r} for table {table.names}")
 
     # -- inspection ---------------------------------------------------------
@@ -488,7 +482,7 @@ def deriv_even(a: SuperElem, name: str) -> SuperElem:
 
     Distinct terms keep distinct keys, so nothing merges or cancels.
     """
-    i = a.table.even_index(name)
+    i = a.table.even.index(name)
     num: dict[Key, int] = {}
     for (exps, mask), c in a._num.items():
         e = exps[i]
@@ -507,7 +501,7 @@ def deriv_odd_left(a: SuperElem, name: str) -> SuperElem:
     the leading factor differentiates with sign +1.  Distinct terms keep
     distinct keys, so nothing merges or cancels.
     """
-    i = a.table.odd_index(name)
+    i = a.table.odd.index(name)
     bit = 1 << i
     num: dict[Key, int] = {}
     for (exps, mask), c in a._num.items():

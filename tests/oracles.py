@@ -9,7 +9,8 @@ the conversion boundary, and the parser that reads the hand-typed family
 tables.  The odd sheaves ``split_cocycle(a)`` (O(a) + O(-3-a)) and
 ``syzygy_cocycle(d)`` (the syzygy bundle of X0^d, X1^d, X2^d) are typed from
 their formulas the same way, and parsed into the ``MatrixCocycle`` type;
-``permute_cover`` relabels the homogeneous coordinates by a 3-cycle.
+``permute_cover`` relabels the homogeneous coordinates by a permutation,
+and ``scale_frame`` rescales one odd frame on every chart.
 
 The last section is different: it is former library code that no program path
 runs, moved here unchanged and kept as the tests' reference -- the free
@@ -276,12 +277,13 @@ def syzygy_cocycle(d: int) -> MatrixCocycle:
 
 
 def permute_cover(atlas: Atlas, sigma: tuple[int, int, int], odd: str) -> Atlas:
-    """The atlas with each X_c relabelled X_sigma[c], for a 3-cycle sigma.
+    """The atlas with each X_c relabelled X_sigma[c], for a permutation sigma.
 
     Chart i's data becomes chart sigma[i]'s: z_mi = X_c/X_i is renamed to
     chart sigma[i]'s name for X_sigma[c]/X_sigma[i].  With odd="follow" each
     t_mi goes where z_mi goes; with odd="fixed" it keeps its index m.  A
-    3-cycle maps the cyclic overlaps to themselves, so no map is inverted.
+    3-cycle maps the cyclic overlaps to themselves; a transposition reverses
+    them, so each renamed map is inverted and stored at the reversed pair.
     """
     if odd not in ("follow", "fixed"):
         raise ValueError(f"odd must be 'follow' or 'fixed', got {odd!r}")
@@ -300,7 +302,11 @@ def permute_cover(atlas: Atlas, sigma: tuple[int, int, int], odd: str) -> Atlas:
         table = standard_chart(sigma[j])
         images = {name: SuperElem.var(table, new) for name, new in source.items()}
         assignment = {target[name]: substitute(elem, images) for name, elem in f.assignment.items()}
-        maps[(sigma[i], sigma[j])] = TransitionMap(table, standard_chart(sigma[i]), assignment)
+        image = TransitionMap(table, standard_chart(sigma[i]), assignment)
+        if (sigma[i], sigma[j]) in CYCLIC:
+            maps[(sigma[i], sigma[j])] = image
+        else:
+            maps[(sigma[j], sigma[i])] = invert_map(image)
     return Atlas(maps, atlas.notes)
 
 
@@ -313,9 +319,10 @@ def permute_cover(atlas: Atlas, sigma: tuple[int, int, int], odd: str) -> Atlas:
 # the independent check on `chart0_walk`; `identity_cocycle` is the det
 # twist 0 control; `normal_form_map` is the independent check on
 # `normal_form_signs`; `compose_jacobians` is the reference for the graded
-# chain rule; `rescale_odd` makes metamorphic cases (the deformation moves by
-# 1/c^2); `omega_cocycle_sum_composed`, which pushes each overlap's
-# derivation to chart 0 by the chain rule and differentiates only the fields
+# chain rule; `rescale_odd` and `scale_frame` make metamorphic cases (the
+# deformation moves by 1/c^2, and by 1/c on a split F);
+# `omega_cocycle_sum_composed`, which pushes each overlap's derivation to
+# chart 0 by the chain rule and differentiates only the fields
 # that carry a coefficient, is the reference for `omega_cocycle_sum`, which
 # reads the J^2 part of the walked loop and differentiates nothing.
 
@@ -612,23 +619,40 @@ def rescale_odd(atlas: Atlas, c) -> Atlas:
     blocks are untouched while an even term bilinear in the source odds picks
     up 1/c^2, so rescale_odd(build_decomposable(4), 2) == build_decomposable(1).
     """
+    return _scale_odd(atlas, (1, 2), c)
+
+
+def scale_frame(atlas: Atlas, m: int, c) -> Atlas:
+    """Rescale one odd frame, t_mi -> c*t_mi on every chart i (m = 1 or 2).
+
+    A constant automorphism of a split F's summand, so the deformation picks
+    up 1/c: scale_frame(build_decomposable(3/2), 1, c) == build_decomposable(3/(2c)).
+    On a non-split F it is no automorphism: the loop still closes, but the
+    odd blocks change.
+    """
+    if m not in (1, 2):
+        raise ValueError(f"m must be 1 or 2, got {m!r}")
+    return _scale_odd(atlas, (m,), c)
+
+
+def _scale_odd(atlas: Atlas, frames: tuple[int, ...], c) -> Atlas:
+    """Conjugate every stored map by t_mi -> c*t_mi for each m in frames."""
     c = Fraction(c)
     if not c:
         raise SuperError("odd rescaling must be invertible")
     maps = {}
     for key, f in atlas.maps.items():
-        scale_tgt = _odd_scaling(f.target, c)
-        unscale_src = _odd_scaling(f.source, 1 / c)
+        scale_tgt = _odd_scaling(f.target, frames, c)
+        unscale_src = _odd_scaling(f.source, frames, 1 / c)
         maps[key] = compose(compose(scale_tgt, f), unscale_src)
     return Atlas(maps, atlas.notes)
 
 
-def _odd_scaling(chart: VarTable, c: Fraction) -> TransitionMap:
-    assignment = {}
-    for name in chart.even:
-        assignment[name] = SuperElem.var(chart, name)
-    for name in chart.odd:
-        assignment[name] = SuperElem.var(chart, name) * c
+def _odd_scaling(chart: VarTable, frames: tuple[int, ...], c: Fraction) -> TransitionMap:
+    assignment = {name: SuperElem.var(chart, name) for name in chart.names}
+    for m in frames:
+        name = chart.odd[m - 1]
+        assignment[name] = assignment[name] * c
     return TransitionMap(chart, chart, assignment)
 
 

@@ -18,6 +18,7 @@ from oracles import (
     normal_form_map,
     permute_cover,
     rescale_odd,
+    scale_frame,
     split_cocycle,
     syzygy_cocycle,
 )
@@ -285,6 +286,58 @@ def test_a_three_cycle_of_the_cover_fixes_the_pi_plane(sigma):
     atlas = build_pi_plane()
     assert atlas_equal(permute_cover(atlas, sigma, "follow"), atlas)
     assert not atlas_equal(permute_cover(atlas, sigma, "fixed"), atlas)
+
+
+TRANSPOSITIONS = [(0, 2, 1), (2, 1, 0), (1, 0, 2)]  # each reverses the cycle of overlaps
+
+
+@pytest.mark.parametrize("sigma", TRANSPOSITIONS)
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(3, 2), Fraction(-7, 3)])
+@pytest.mark.parametrize("name", sorted(PERMUTED_FAMILIES))
+def test_a_transposition_of_the_cover_maps_the_family_to_the_predicted_lambda(name, lam, sigma):
+    # the class is read through Sym^2 F = K, on which a transposition acts by -1;
+    # when the odd frames follow, it acts on the wedge square of F by -1 too and
+    # the two cancel; when they stay in place (a split F), lambda changes sign
+    build, odd = PERMUTED_FAMILIES[name]
+    want = build(lam if odd == "follow" else -lam)
+    assert atlas_equal(permute_cover(build(lam), sigma, odd), want)
+    other = {"follow": "fixed", "fixed": "follow"}[odd]
+    assert not atlas_equal(permute_cover(build(lam), sigma, other), want)  # the control
+
+
+@pytest.mark.parametrize("sigma", TRANSPOSITIONS)
+def test_a_transposition_of_the_cover_fixes_the_pi_plane(sigma):
+    atlas = build_pi_plane()
+    assert atlas_equal(permute_cover(atlas, sigma, "follow"), atlas)
+    assert not atlas_equal(permute_cover(atlas, sigma, "fixed"), atlas)
+
+
+@pytest.mark.parametrize("sigma", [(0, 1, 2)] + THREE_CYCLES + TRANSPOSITIONS)
+@pytest.mark.parametrize("name", sorted(PERMUTED_FAMILIES))
+def test_a_permutation_of_the_cover_maps_both_classes_by_the_predicted_sign(name, sigma):
+    # sgn(sigma) on a split F, 1 when the odd frames follow
+    build, odd = PERMUTED_FAMILIES[name]
+    atlas = permute_cover(build(Fraction(3, 2)), sigma, odd)
+    sign = -1 if odd == "fixed" and sigma in TRANSPOSITIONS else 1
+    want = CohClass({(-1, -1, -1): Fraction(3, 2) * sign})
+    assert obstruction_delta(atlas) == want
+    assert picard_delta(atlas) == want
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-3), Fraction(3, 2)])
+def test_scaling_one_odd_frame_moves_a_split_family_by_one_over_c(m, c):
+    scaled = scale_frame(build_decomposable(Fraction(3, 2)), m, c)
+    assert atlas_equal(scaled, build_decomposable(Fraction(3, 2) / c))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(-3), Fraction(3, 2)])
+def test_scaling_one_odd_frame_of_omega1_leaves_the_family(m, c):
+    # every build_omega1(lam) has the cotangent odd blocks, which the scaling changes
+    scaled = scale_frame(build_omega1(Fraction(3, 2)), m, c)
+    assert check_cocycle_loop(scaled).ok
+    assert fermionic_cocycle(scaled).matrices != cotangent_cocycle().matrices
 
 
 def test_fermionic_cocycle_round_trip():
